@@ -74,13 +74,13 @@ double SweepSizeMb(int index) {
 }
 
 TopKResult RunTopK(Fixture& fixture, const Tpq& q, Algorithm algo, size_t k,
-                   RankScheme scheme, size_t threads, CacheTier cache,
+                   RankScheme scheme, size_t threads, bool cache,
                    size_t shards) {
   TopKOptions opts;
   opts.k = k;
   opts.scheme = scheme;
   opts.num_threads = threads;
-  opts.result_cache.tier = cache;
+  opts.result_cache = cache;
   opts.num_shards = shards;
   Result<TopKResult> result = fixture.processor->Run(q, algo, opts);
   if (!result.ok()) {
@@ -95,7 +95,7 @@ void EmitJsonLine(const std::string& bench, const char* algorithm, size_t k,
                   uint64_t corpus_bytes, double elapsed_ms,
                   const ExecCounters& counters, size_t relaxations,
                   size_t answers, size_t threads,
-                  const std::string* metrics_json, CacheTier cache) {
+                  const std::string* metrics_json, bool cache) {
   std::string line = "{\"bench\":\"";
   line += JsonEscape(bench);
   line += "\",\"algorithm\":\"";
@@ -110,7 +110,7 @@ void EmitJsonLine(const std::string& bench, const char* algorithm, size_t k,
   line += ",\"answers\":" + std::to_string(answers);
   line += ",\"threads\":" + std::to_string(threads);
   line += ",\"cache\":\"";
-  line += CacheTierName(cache);
+  line += cache ? "run" : "off";
   line += "\",\"counters\":{";
   bool first = true;
   counters.ForEach([&](const char* name, uint64_t value) {
@@ -131,7 +131,7 @@ void EmitJsonLine(const std::string& bench, const char* algorithm, size_t k,
 TopKResult EmitTopKRunJson(const std::string& bench, Fixture& fixture,
                            const Tpq& q, Algorithm algo, size_t k,
                            RankScheme scheme, size_t threads,
-                           CacheTier cache) {
+                           bool cache) {
   // Zero the process-wide registry so the emitted line (and an embedded
   // metrics snapshot) reflects this run alone, not every configuration
   // the bench binary executed before it.

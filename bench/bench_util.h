@@ -62,13 +62,13 @@ double SweepSizeMb(int index);
 /// `threads` maps to TopKOptions::num_threads; the default of 1 keeps
 /// the paper-figure benchmarks on the serial path so their numbers stay
 /// comparable across machines — thread-scaling benches opt in explicitly.
-/// `cache` maps to TopKOptions::result_cache.tier (the sub-plan result
-/// cache, DESIGN.md §12); the default of kOff keeps the paper figures on
+/// `cache` maps to TopKOptions::result_cache (DPO's run-local result
+/// cache, DESIGN.md §12); the default of off keeps the paper figures on
 /// the memoization-free path. `shards` maps to TopKOptions::num_shards
 /// (0 = unsharded, the default — scatter-gather benches opt in).
 TopKResult RunTopK(Fixture& fixture, const Tpq& q, Algorithm algo, size_t k,
                    RankScheme scheme = RankScheme::kStructureFirst,
-                   size_t threads = 1, CacheTier cache = CacheTier::kOff,
+                   size_t threads = 1, bool cache = false,
                    size_t shards = 0);
 
 /// Prints one machine-parseable JSON line describing a benchmark run to
@@ -84,7 +84,7 @@ void EmitJsonLine(const std::string& bench, const char* algorithm, size_t k,
                   const ExecCounters& counters, size_t relaxations,
                   size_t answers, size_t threads = 1,
                   const std::string* metrics_json = nullptr,
-                  CacheTier cache = CacheTier::kOff);
+                  bool cache = false);
 
 /// Times one un-instrumented top-K run and emits its JSON line. Call once
 /// per benchmark case, after the google-benchmark timing loop, so every
@@ -96,8 +96,7 @@ void EmitJsonLine(const std::string& bench, const char* algorithm, size_t k,
 TopKResult EmitTopKRunJson(const std::string& bench, Fixture& fixture,
                            const Tpq& q, Algorithm algo, size_t k,
                            RankScheme scheme = RankScheme::kStructureFirst,
-                           size_t threads = 1,
-                           CacheTier cache = CacheTier::kOff);
+                           size_t threads = 1, bool cache = false);
 
 }  // namespace bench_util
 }  // namespace flexpath

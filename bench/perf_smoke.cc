@@ -1,12 +1,14 @@
-// CI perf smoke for the sub-plan result cache (DESIGN.md §12): runs the
-// Figure 9 Q3 DPO workload on a small XMark corpus twice in one process
-// with the shared cache tier, then
-//   - asserts the warm run had a non-zero cache hit-rate (exit 1 if the
-//     cache silently stopped working),
-//   - asserts warm-run executor work (candidates probed) dropped below
-//     the cold run's — the "measurably faster via counters" check, which
-//     holds on a 1-core box where wall-clock comparisons would be noise,
-//   - asserts the answers of cold, warm and cache-off runs are identical,
+// CI perf smoke: runs the Figure 9 Q3 DPO workload on a 1 MB XMark
+// corpus with the result cache off and on (DESIGN.md §12: DPO round i+1
+// resumes from round i's cached plan prefix), then
+//   - asserts the cache-on run had a non-zero cache hit-rate (exit 1 if
+//     the cache silently stopped working),
+//   - asserts its executor work (candidates probed) dropped below the
+//     cache-off run's — the "measurably faster via counters" check,
+//     which holds on a 1-core box where wall-clock comparisons would be
+//     noise,
+//   - asserts the answers of the cache-on and cache-off runs are
+//     identical,
 //   - runs the same workload sharded (scatter-gather over 3 document-
 //     range shards, DESIGN.md §15), asserts answers AND every execution
 //     counter are byte-identical to the unsharded run, and records both
@@ -19,7 +21,7 @@
 //     bytes-resident proxy (buffer-pool bytes + decoded document bytes),
 //   - writes a BENCH_topk.json artifact (--out PATH to move it; default
 //     ./BENCH_topk.json) with the runs' timings, counters, resource
-//     usage, and the cold/warm speedup. ci/bench_compare.py diffs that
+//     usage, and the cache hit rate. ci/bench_compare.py diffs that
 //     file against the committed ci/bench_baseline.json and warns — does
 //     not fail — on wall-time regressions.
 // Exit status 0 = healthy; any violated invariant prints a diagnostic
@@ -39,7 +41,6 @@
 namespace {
 
 using flexpath::Algorithm;
-using flexpath::CacheTier;
 using flexpath::TopKResult;
 
 double MsSince(std::chrono::steady_clock::time_point start) {
@@ -117,23 +118,17 @@ int main(int argc, char** argv) {
 
   // Reference run without any caching (also the unsharded baseline the
   // scatter-gather run is diffed against).
-  auto ref_start = std::chrono::steady_clock::now();
+  auto start = std::chrono::steady_clock::now();
   const TopKResult reference = flexpath::bench_util::RunTopK(
       fixture, q, Algorithm::kDpo, kK, flexpath::RankScheme::kStructureFirst,
-      /*threads=*/1, CacheTier::kOff);
-  const double reference_ms = MsSince(ref_start);
-
-  auto start = std::chrono::steady_clock::now();
-  const TopKResult cold = flexpath::bench_util::RunTopK(
-      fixture, q, Algorithm::kDpo, kK, flexpath::RankScheme::kStructureFirst,
-      /*threads=*/1, CacheTier::kShared);
-  const double cold_ms = MsSince(start);
+      /*threads=*/1, /*cache=*/false);
+  const double reference_ms = MsSince(start);
 
   start = std::chrono::steady_clock::now();
-  const TopKResult warm = flexpath::bench_util::RunTopK(
+  const TopKResult cached = flexpath::bench_util::RunTopK(
       fixture, q, Algorithm::kDpo, kK, flexpath::RankScheme::kStructureFirst,
-      /*threads=*/1, CacheTier::kShared);
-  const double warm_ms = MsSince(start);
+      /*threads=*/1, /*cache=*/true);
+  const double cached_ms = MsSince(start);
 
   // Scatter-gather over document-range shards, cache off (sharding
   // disables the sub-plan cache): answers and counters must be
@@ -142,7 +137,7 @@ int main(int argc, char** argv) {
   start = std::chrono::steady_clock::now();
   const TopKResult sharded = flexpath::bench_util::RunTopK(
       fixture, q, Algorithm::kDpo, kK, flexpath::RankScheme::kStructureFirst,
-      /*threads=*/1, CacheTier::kOff, kShards);
+      /*threads=*/1, /*cache=*/false, kShards);
   const double sharded_ms = MsSince(start);
 
   // Packed-corpus storage engine: the same XMark document through
@@ -246,30 +241,29 @@ int main(int argc, char** argv) {
   }
   std::remove(packed_path.c_str());
 
-  if (warm.counters.cache_step_hits == 0) {
+  if (cached.counters.cache_step_hits == 0) {
     std::fprintf(stderr,
-                 "FAIL: warm run had zero cache hits (cold misses=%llu)\n",
+                 "FAIL: cache-on run had zero cache hits (misses=%llu)\n",
                  static_cast<unsigned long long>(
-                     cold.counters.cache_step_misses));
+                     cached.counters.cache_step_misses));
     ++failures;
   }
-  if (warm.counters.candidates_probed >= reference.counters.candidates_probed) {
+  if (cached.counters.candidates_probed >=
+      reference.counters.candidates_probed) {
     std::fprintf(
         stderr,
-        "FAIL: warm run probed %llu candidates, not fewer than the uncached "
-        "run's %llu — the cache is not saving work\n",
-        static_cast<unsigned long long>(warm.counters.candidates_probed),
+        "FAIL: cache-on run probed %llu candidates, not fewer than the "
+        "uncached run's %llu — the cache is not saving work\n",
+        static_cast<unsigned long long>(cached.counters.candidates_probed),
         static_cast<unsigned long long>(
             reference.counters.candidates_probed));
     ++failures;
   }
-  if (AnswerKey(cold) != AnswerKey(reference) ||
-      AnswerKey(warm) != AnswerKey(reference)) {
+  if (AnswerKey(cached) != AnswerKey(reference)) {
     std::fprintf(stderr,
                  "FAIL: cached answers differ from the uncached run\n"
-                 "  off : %s\n  cold: %s\n  warm: %s\n",
-                 AnswerKey(reference).c_str(), AnswerKey(cold).c_str(),
-                 AnswerKey(warm).c_str());
+                 "  off: %s\n  on : %s\n",
+                 AnswerKey(reference).c_str(), AnswerKey(cached).c_str());
     ++failures;
   }
   if (AnswerKey(sharded) != AnswerKey(reference)) {
@@ -313,24 +307,20 @@ int main(int argc, char** argv) {
     ++failures;
   }
 
-  const uint64_t warm_steps =
-      warm.counters.cache_step_hits + warm.counters.cache_step_misses;
+  const uint64_t cached_steps =
+      cached.counters.cache_step_hits + cached.counters.cache_step_misses;
   const double hit_rate =
-      warm_steps == 0
+      cached_steps == 0
           ? 0.0
-          : static_cast<double>(warm.counters.cache_step_hits) /
-                static_cast<double>(warm_steps);
+          : static_cast<double>(cached.counters.cache_step_hits) /
+                static_cast<double>(cached_steps);
 
-  std::string json = "{\"bench\":\"perf_smoke/Q3_DPO_shared\"";
+  std::string json = "{\"bench\":\"perf_smoke/Q3_DPO\"";
   json += ",\"corpus_bytes\":" + std::to_string(fixture.target_bytes);
   json += ",\"k\":" + std::to_string(kK);
-  json += ",\"warm_hit_rate\":" + std::to_string(hit_rate);
-  json += ",\"cold_over_warm_speedup\":" +
-          std::to_string(warm_ms > 0.0 ? cold_ms / warm_ms : 0.0);
+  json += ",\"cache_hit_rate\":" + std::to_string(hit_rate);
   json += ",";
-  AppendRunJson(&json, "cold", cold, cold_ms);
-  json += ",";
-  AppendRunJson(&json, "warm", warm, warm_ms);
+  AppendRunJson(&json, "cached", cached, cached_ms);
   json += ",\"shards\":" + std::to_string(kShards);
   json += ",";
   AppendRunJson(&json, "unsharded", reference, reference_ms);
@@ -358,8 +348,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", json.c_str());
   std::printf(
-      "perf smoke: %s (warm hit rate %.2f, %llu steps served from cache)\n",
+      "perf smoke: %s (cache hit rate %.2f, %llu steps served from cache)\n",
       failures == 0 ? "OK" : "FAILED", hit_rate,
-      static_cast<unsigned long long>(warm.counters.cache_step_hits));
+      static_cast<unsigned long long>(cached.counters.cache_step_hits));
   return failures == 0 ? 0 : 1;
 }

@@ -49,8 +49,8 @@
 //   :synonym A B               register B as a synonym of A
 //   :stats                     corpus + per-query-shape statistics
 //   :slowlog                   slow-query log (see --slow-query-ms)
-//   :cache [off|run|shared]    show cache statistics (JSON), or switch
-//                              the sub-plan result-cache tier
+//   :cache [off|run]           show cache statistics (JSON), or switch
+//                              DPO's run-local result cache off or on
 //   :trace [FILE]              Chrome-trace JSON of the last traced query
 //                              (stdout, or written to FILE); load it in
 //                              chrome://tracing or ui.perfetto.dev
@@ -116,11 +116,11 @@
 //                              its partial answers, flagged
 //   --max-tuples N             per-query tuple-creation budget
 //
-// Cache flags (DESIGN.md §12):
-//   --cache off|run|shared     sub-plan result-cache tier (default off;
-//                              answers are identical at every tier)
-//   --cache-mb N               byte budget, in MB, of the process-wide
-//                              shared tier (and of each run-local tier)
+// Cache flag (DESIGN.md §12):
+//   --cache off|run            DPO's run-local result cache: round i+1
+//                              resumes from round i's plan prefix
+//                              (default off; answers are identical either
+//                              way; SSO and Hybrid never cache)
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -174,7 +174,7 @@ struct CliState {
   double slow_query_ms = -1.0;  ///< Negative: slow-query log disabled.
   size_t threads = 0;           ///< 0: hardware concurrency; 1: serial.
   size_t shards = 0;            ///< 0: unsharded; N: scatter-gather.
-  flexpath::ResultCacheOptions cache;  ///< Sub-plan result cache knobs.
+  bool cache = false;           ///< TopKOptions::result_cache.
   double max_cpu_ms = 0.0;      ///< Soft per-query CPU budget (0: off).
   uint64_t max_tuples = 0;      ///< Soft per-query tuple budget (0: off).
   std::string trace_out;        ///< --trace-out target (empty: off).
@@ -301,7 +301,7 @@ void PrintHelp() {
       "  :synonym A B             thesaurus entry (B relaxes A)\n"
       "  :stats                   corpus + per-query-shape statistics\n"
       "  :slowlog                 slow-query log\n"
-      "  :cache [off|run|shared]  cache statistics / result-cache tier\n"
+      "  :cache [off|run]         cache statistics / DPO result cache\n"
       "  :trace [FILE]            Chrome-trace JSON of the last traced query\n"
       "  :flightrec               dump the flight-recorder ring as JSON\n"
       "  :watch [SECONDS]         windowed metric rates (default 60s)\n"
@@ -508,17 +508,11 @@ const char* FlagValue(int argc, char** argv, int* i, const char* flag) {
   return nullptr;
 }
 
-// Parses a result-cache tier name; returns false on anything else.
-bool ParseCacheTier(const std::string& name, flexpath::CacheTier* out) {
-  if (name == "off") {
-    *out = flexpath::CacheTier::kOff;
-  } else if (name == "run") {
-    *out = flexpath::CacheTier::kRun;
-  } else if (name == "shared") {
-    *out = flexpath::CacheTier::kShared;
-  } else {
-    return false;
-  }
+// Parses a result-cache setting ("off" or "run"); returns false on
+// anything else.
+bool ParseCache(const std::string& name, bool* out) {
+  if (name != "off" && name != "run") return false;
+  *out = name == "run";
   return true;
 }
 
@@ -527,8 +521,8 @@ void PrintStats(CliState& state) {
   std::printf("documents: %zu, elements: %zu, distinct tags: %zu\n",
               corpus.size(), corpus.TotalNodes(),
               std::as_const(corpus).tags().size());
-  std::printf("result cache: tier=%s  %s\n",
-              flexpath::CacheTierName(state.cache.tier),
+  std::printf("result cache: %s; query-level caches: %s\n",
+              state.cache ? "run" : "off",
               state.fp.CacheStatsJson().c_str());
   const std::vector<flexpath::ShapeStatsSnapshot> shapes =
       state.fp.query_stats()->Shapes();
@@ -672,18 +666,17 @@ int Repl(CliState& state) {
     } else if (cmd == ":cache") {
       std::string name;
       if (words >> name) {
-        if (ParseCacheTier(name, &state.cache.tier)) {
-          std::printf("result cache tier = %s\n",
-                      flexpath::CacheTierName(state.cache.tier));
+        if (ParseCache(name, &state.cache)) {
+          std::printf("result cache = %s\n", state.cache ? "run" : "off");
         } else {
-          std::printf("usage: :cache [off|run|shared]\n");
+          std::printf("usage: :cache [off|run]\n");
         }
       } else {
         // Two distinct cache families live behind one engine: the
-        // query-level result/IR caches (answers, contains results,
-        // merged scans) and — for a packed corpus — the storage buffer
-        // pools, which cache *decoded file blocks*, not query results.
-        std::printf("query result/IR caches:\n  %s\n",
+        // query-level caches (contains results, merged scans) and — for
+        // a packed corpus — the storage buffer pools, which cache
+        // *decoded file blocks*, not query results.
+        std::printf("query-level caches:\n  %s\n",
                     state.fp.CacheStatsJson().c_str());
         const flexpath::storage::StorageReader* reader =
             state.fp.packed_reader();
@@ -837,22 +830,10 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      if (!ParseCacheTier(argv[++i], &state.cache.tier)) {
-        std::fprintf(stderr, "--cache: expected off|run|shared, got %s\n",
-                     argv[i]);
+      if (!ParseCache(argv[++i], &state.cache)) {
+        std::fprintf(stderr, "--cache: expected off|run, got %s\n", argv[i]);
         return 2;
       }
-      continue;
-    }
-    if (std::strcmp(argv[i], "--cache-mb") == 0 && i + 1 < argc) {
-      const double mb = std::atof(argv[++i]);
-      if (mb <= 0) {
-        std::fprintf(stderr, "--cache-mb: expected a positive number\n");
-        return 2;
-      }
-      const size_t bytes = static_cast<size_t>(mb * 1024 * 1024);
-      state.cache.run_budget_bytes = bytes;
-      state.fp.SetSharedResultCacheBudget(bytes);
       continue;
     }
     if (std::strcmp(argv[i], "--explain") == 0 ||
@@ -942,7 +923,7 @@ int main(int argc, char** argv) {
                  "[--subtype SUPER SUB] "
                  "[--log-json] [--log-level L] [--slow-query-ms N] "
                  "[--threads N] [--shards N] [--metrics-prom] "
-                 "[--cache off|run|shared] [--cache-mb N] "
+                 "[--cache off|run] "
                  "[--trace-out FILE] [--flightrec-out FILE] "
                  "[--crash-dump FILE] [--admin-port N] [--admin-bind ADDR] "
                  "[--query-log FILE] "

@@ -123,9 +123,8 @@ struct PropertyVerdict {
 ///    merges may reorder work without changing the answer list;
 ///  - truncation_safe (FX303)                 -> shard scatter-gather may
 ///    truncate per-shard result lists to K' (shard/merge.cc);
-///  - cache_exact (FX304)                     -> sub-plan result-cache
-///    entries may be marked kExact and shared across schemes and K
-///    (exec/result_cache.h).
+///  - cache_exact (FX304)                     -> DPO rounds may resume
+///    from an earlier round's cached kExact prefix (exec/result_cache.h).
 struct SchemeCertificate {
   std::string scheme;      ///< SchemeAlgebra::name.
   std::string expression;  ///< SchemeAlgebra::ToString().

@@ -243,7 +243,7 @@ Result<TopKResult> FlexPath::QueryTpq(const Tpq& q, const TopKOptions& opts,
     record.scheme = RankSchemeName(opts.scheme);
     record.k = opts.k;
     record.threads = opts.num_threads;
-    record.cache_tier = CacheTierName(opts.result_cache.tier);
+    record.cache_tier = opts.result_cache ? "run" : "off";
     record.latency_ms = MsSince(wall_start);
     record.answers = result->answers.size();
     record.relaxations = result->relaxations_used;
@@ -403,16 +403,7 @@ std::string FlexPath::SchemeCertificatesJson() {
 }
 
 std::string FlexPath::CacheStatsJson() const {
-  const ResultCache::Stats rc = ResultCache::Global().GetStats();
-  std::string out = "{\"result_cache\":{";
-  out += "\"hits\":" + std::to_string(rc.hits);
-  out += ",\"misses\":" + std::to_string(rc.misses);
-  out += ",\"insertions\":" + std::to_string(rc.insertions);
-  out += ",\"evictions\":" + std::to_string(rc.evictions);
-  out += ",\"entries\":" + std::to_string(rc.entries);
-  out += ",\"bytes\":" + std::to_string(rc.bytes);
-  out += ",\"budget\":" + std::to_string(rc.budget);
-  out += "},\"ir_cache\":";
+  std::string out = "{\"ir_cache\":";
   if (ir_ != nullptr) {
     const IrEngine::CacheStats ir = ir_->GetCacheStats();
     out += "{\"evictions\":" + std::to_string(ir.evictions);
@@ -461,10 +452,6 @@ std::string FlexPath::CacheStatsJson() const {
   }
   out += '}';
   return out;
-}
-
-void FlexPath::SetSharedResultCacheBudget(size_t budget_bytes) {
-  ResultCache::Global().SetBudget(budget_bytes);
 }
 
 std::string FlexPath::MetricsJson() const {

@@ -208,18 +208,13 @@ class FlexPath {
   /// and slow-query log; see QueryStatsStore::ToJson() for the schema.
   std::string QueryStatsJson() const { return query_stats_.ToJson(); }
 
-  /// One JSON object with the state of every cache: the process-wide
-  /// sub-plan result cache (DESIGN.md §12), this instance's IR
-  /// contains-result cache, its merged-scan cache, and — for a packed
-  /// corpus — the storage buffer pools (element tables and posting
-  /// lists; null otherwise). Fields for the instance caches are null
-  /// before Build()/OpenPacked().
+  /// One JSON object with the state of every cache that outlives a
+  /// query: this instance's IR contains-result cache, its merged-scan
+  /// cache, and — for a packed corpus — the storage buffer pools
+  /// (element tables and posting lists; null otherwise). Fields are null
+  /// before Build()/OpenPacked(). The DPO result cache lives and dies
+  /// inside one run; its work shows in the cache_step_* ExecCounters.
   std::string CacheStatsJson() const;
-
-  /// Sets the byte budget of the process-wide sub-plan result cache
-  /// (ResultCache::Global(), the kShared tier), evicting immediately if
-  /// over. Affects every FlexPath instance in the process.
-  void SetSharedResultCacheBudget(size_t budget_bytes);
 
   /// Phase-by-phase trace of the last Build() call (element index,
   /// statistics, IR engine); null before Build().

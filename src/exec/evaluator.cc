@@ -224,8 +224,11 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   const bool sharded = shard != nullptr;
   // The cache keys whole-corpus tuple lists; a sharded pass neither
   // probes nor populates it (callers already disable it — see topk.cc).
+  // Only kExact outputs are cacheable: a pruned step's output depends on
+  // k and on the plan suffix's remaining penalty, which no key holds.
   assert(!sharded || cache == nullptr);
-  if (sharded) cache = nullptr;
+  assert(mode == EvalMode::kExact || cache == nullptr);
+  if (sharded || mode != EvalMode::kExact) cache = nullptr;
   const size_t nshards = sharded ? shard->shards->num_shards() : 1;
   assert(nshards > 0);
   // Per-shard work attribution, reported through the shard context.
@@ -277,21 +280,12 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   std::vector<Tuple>& tuples = parts[0];  ///< Serial-path alias.
 
   // --- Sub-plan result cache (DESIGN.md §12). ---------------------------
-  const bool cache_on =
-      cache != nullptr && (cache->run != nullptr || cache->shared != nullptr);
-  // Incremental DPO: drop tuples for already-answered nodes. Exact mode
-  // only — encoded modes produce their whole answer set in one pass.
-  const bool excluding = cache != nullptr && mode == EvalMode::kExact &&
-                         cache->exclude != nullptr &&
+  const bool cache_on = cache != nullptr;
+  // Incremental DPO: drop tuples for already-answered nodes.
+  const bool excluding = cache_on && cache->exclude != nullptr &&
                          !cache->exclude->empty();
-  // The threshold bound makes step outputs depend on k in encoded modes;
-  // kExact never prunes, so its entries are k-independent and every DPO
-  // round of every k shares them.
-  const uint64_t prune_k = prune ? static_cast<uint64_t>(k) : 0;
   auto step_key = [&](size_t s) {
-    return StepCacheKey(plan.step_fingerprint(s), cache->corpus_generation,
-                        static_cast<uint8_t>(mode),
-                        static_cast<uint8_t>(scheme), prune_k);
+    return StepCacheKey(plan.step_fingerprint(s), cache->corpus_generation);
   };
   // Removes tuples whose distinguished binding is in the exclusion set.
   auto drop_excluded = [&](std::vector<Tuple>* ts, ExecCounters* c) {
@@ -368,47 +362,33 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   if (cache_on) {
     Span lookup_span(trace, "cache_lookup");
     for (size_t s = steps.size(); s-- > 0;) {
-      const uint64_t key = step_key(s);
-      std::shared_ptr<const CachedStepResult> entry;
-      const char* tier = "run";
-      if (cache->run != nullptr) entry = cache->run->Get(key);
-      if (entry == nullptr && cache->shared != nullptr) {
-        entry = cache->shared->Get(key);
-        tier = "shared";
-      }
+      std::shared_ptr<const CachedStepResult> entry =
+          cache->cache->Get(step_key(s));
       if (entry == nullptr) continue;
       // Entries are shared-const; copy so the pipeline can mutate.
       tuples = entry->tuples;
       if (excluding && s >= static_cast<size_t>(dist_step)) {
-        // The entry predates some answers (or, if tainted, was filtered
-        // against an older, smaller exclusion set — the set only grows
-        // within a run); re-filtering against the current set lands on
-        // exactly the tuple set an uncached pass would produce.
+        // The entry was filtered against an older, smaller exclusion set
+        // (the set only grows within a run), or none; re-filtering
+        // against the current set lands on exactly the tuple set an
+        // uncached pass would produce.
         drop_excluded(&tuples, &ctr);
       }
       ctr.cache_step_hits += s + 1;
       start_step = s + 1;
-      lookup_span.Annotate("cache_hit", tier);
       lookup_span.Annotate("prefix_steps", static_cast<uint64_t>(s + 1));
       lookup_span.Annotate("tuples", static_cast<uint64_t>(tuples.size()));
       break;
     }
   }
-  // Stores the tuple set alive after computing step `s` into the enabled
-  // tiers (tainted entries — exclusion-filtered at or past the
-  // distinguished step — stay run-local; see CachedStepResult).
+  // Stores the tuple set alive after computing step `s`.
   auto store_step = [&](size_t s) {
     if (!cache_on) return;
     ++ctr.cache_step_misses;
     auto entry = std::make_shared<CachedStepResult>();
     entry->tuples = tuples;
-    entry->tainted = excluding && s >= static_cast<size_t>(dist_step);
     entry->bytes = CachedStepResult::ApproxBytes(entry->tuples);
-    const uint64_t key = step_key(s);
-    if (cache->run != nullptr) cache->run->Put(key, entry);
-    if (cache->shared != nullptr && !entry->tainted) {
-      cache->shared->Put(key, std::move(entry));
-    }
+    cache->cache->Put(step_key(s), std::move(entry));
   };
 
   // --- Step 0: seed tuples from the first scan list. -------------------

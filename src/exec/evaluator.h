@@ -162,9 +162,9 @@ class PlanEvaluator {
   /// run at any thread count (DESIGN.md §10).
   ///
   /// `cache`, when non-null, enables the sub-plan result cache (DESIGN.md
-  /// §12): before executing, the evaluator probes the run-local and
-  /// shared tiers for the deepest cached plan prefix (keyed by step
-  /// fingerprint + corpus generation + mode/scheme/k) and resumes from
+  /// §12) — kExact mode only; encoded modes ignore it. Before executing,
+  /// the evaluator probes the cache for the deepest cached plan prefix
+  /// (keyed by step fingerprint + corpus generation) and resumes from
   /// it, storing every step it does compute. With cache->exclude set
   /// (incremental DPO), tuples whose distinguished binding was already
   /// answered are dropped at the step that binds it. Answers, penalties

@@ -110,8 +110,8 @@ class JoinPlan {
   /// that agree on fingerprint(s) agree on the whole prefix — which is
   /// what lets consecutive DPO rounds (same step order, by construction
   /// over the original query's variables) share cached prefixes. Corpus
-  /// state, eval mode, scheme and k are *not* included here; the result
-  /// cache folds them into its key (see StepCacheKey).
+  /// state is *not* included here; the result cache folds the corpus
+  /// generation into its key (see StepCacheKey).
   uint64_t step_fingerprint(size_t s) const { return step_fp_[s]; }
 
   /// Fingerprint of the whole plan (the last step's prefix fingerprint).

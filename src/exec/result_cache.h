@@ -17,7 +17,7 @@ namespace flexpath {
 /// One intermediate tuple of the join pipeline: the bindings of the plan
 /// steps evaluated so far, plus the violation mask / penalty accumulated
 /// from optional predicates. Lives here (rather than inside evaluator.cc)
-/// so cached step results can be shared between runs.
+/// so cached step results can share it.
 struct ExecTuple {
   std::vector<NodeRef> bindings;
   uint64_t mask = 0;     ///< Violated optional predicates.
@@ -30,53 +30,30 @@ struct ExecTuple {
 /// cached prefix as if the prefix had just been computed.
 struct CachedStepResult {
   std::vector<ExecTuple> tuples;
-  /// True when the tuples were computed under answer exclusion at or past
-  /// the distinguished step (incremental DPO): the set is missing tuples
-  /// for already-answered nodes, so it is only reusable inside the same
-  /// run (where the exclusion set has grown monotonically and a re-filter
-  /// restores exactness) — never via the shared tier.
-  bool tainted = false;
   size_t bytes = 0;  ///< Approximate footprint, the LRU charge.
 
   static size_t ApproxBytes(const std::vector<ExecTuple>& tuples);
 };
 
-/// Builds the full cache key of one step's output from everything the
-/// tuple set depends on beyond the plan prefix itself: the corpus
-/// generation (invalidation), the eval mode, the rank scheme and the
-/// pruning k (both feed the threshold bound in encoded modes; kExact
-/// passes prune_k = 0 since it never prunes). Keying on (scheme, k) is
-/// exact only because cached tuples are pure functions of (ss, ks) — the
-/// cache-exactness property (FX304) the scheme's SchemeCertificate must
-/// prove; topk.cc leaves the cache off for any scheme whose certificate
-/// refutes it (DESIGN.md §16).
-uint64_t StepCacheKey(uint64_t step_fingerprint, uint64_t corpus_generation,
-                      uint8_t mode, uint8_t scheme, uint64_t prune_k);
+/// Builds the cache key of one step's output. Only unpruned kExact step
+/// outputs are cached, and those are pure functions of the plan prefix
+/// (the step fingerprint) and the corpus it ran over (the generation):
+/// no threshold bound, and therefore no k, scheme or plan suffix, enters
+/// them (DESIGN.md §12).
+uint64_t StepCacheKey(uint64_t step_fingerprint, uint64_t corpus_generation);
 
-/// One tier of the sub-plan result cache (DESIGN.md §12): a thread-safe,
-/// byte-budgeted LRU from step cache keys to immutable step results.
-/// Entries are shared-const, so a reader keeps its result alive across a
-/// concurrent eviction. Two instances play different roles:
-///   - the *run tier*: one instance per TopK call, letting DPO round i+1
-///     reuse round i's shared plan prefix (tainted entries allowed);
-///   - the *shared tier*: the process-wide Global() instance, which
-///     survives across queries (untainted entries only) and makes
-///     repeated evaluation of a query warm-fast.
+/// The sub-plan result cache of one DPO run (DESIGN.md §12): a
+/// thread-safe, byte-budgeted LRU from step cache keys to immutable step
+/// results, letting round i+1 resume from round i's shared plan prefix.
+/// Thread-safe because speculative DPO waves evaluate several rounds at
+/// once; entries are shared-const, so a reader keeps its result alive
+/// across a concurrent eviction.
 class ResultCache {
  public:
-  /// Default byte budget of the shared (process-wide) tier.
-  static constexpr size_t kDefaultSharedBudgetBytes = size_t{256} << 20;
+  /// Byte budget of one run's cache; it dies with the run.
+  static constexpr size_t kBudgetBytes = size_t{64} << 20;
 
-  /// The process-wide shared tier. Its budget is adjustable via
-  /// SetBudget (surfaced as FlexPath::SetSharedResultCacheBudget and the
-  /// CLI --cache-mb flag).
-  static ResultCache& Global();
-
-  /// `export_metrics` mirrors hit/miss/insert/evict counts and
-  /// bytes/entries gauges into the global MetricsRegistry under cache.*
-  /// (the shared tier does; run tiers skip it — their activity is
-  /// per-query and lands in ExecCounters instead).
-  explicit ResultCache(size_t budget_bytes, bool export_metrics = false);
+  ResultCache() : lru_(kBudgetBytes) {}
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -88,48 +65,26 @@ class ResultCache {
   /// stay within budget. Oversized entries are dropped silently.
   void Put(uint64_t key, std::shared_ptr<const CachedStepResult> entry);
 
-  void SetBudget(size_t budget_bytes);
-  void Clear();
-
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    size_t entries = 0;
-    size_t bytes = 0;
-    size_t budget = 0;
-  };
-  Stats GetStats() const;
-
  private:
-  void ExportMetrics() REQUIRES(mu_);
-
-  mutable Mutex mu_;
+  Mutex mu_;
   LruByteCache<uint64_t, CachedStepResult> lru_ GUARDED_BY(mu_);
-  uint64_t hits_ GUARDED_BY(mu_) = 0;
-  uint64_t misses_ GUARDED_BY(mu_) = 0;
-  uint64_t insertions_ GUARDED_BY(mu_) = 0;
-  const bool export_metrics_;
 };
 
-/// Cache context for one PlanEvaluator::Evaluate call. Null pointers
-/// disable the corresponding tier; a null context disables caching
-/// entirely (the default — the cached and uncached paths produce
-/// byte-identical answers, penalties and relaxation metadata, enforced
-/// by tests/result_cache_test.cc).
+/// Cache context for one kExact PlanEvaluator::Evaluate call of a DPO
+/// round; a null context disables caching (the default — the cached and
+/// uncached paths produce byte-identical answers, penalties and
+/// relaxation metadata, enforced by tests/result_cache_test.cc).
 struct EvalCacheContext {
-  ResultCache* run = nullptr;     ///< Run-local tier (tainted entries OK).
-  ResultCache* shared = nullptr;  ///< Process-wide tier (untainted only).
+  ResultCache* cache = nullptr;  ///< Required: the run's cache.
   uint64_t corpus_generation = 0;
-  /// Incremental DPO (kExact only): answers already produced by earlier
-  /// rounds. Tuples whose distinguished binding is in this set are
-  /// dropped as soon as the distinguished variable binds — the round
-  /// evaluates only its delta. Sound because the DPO merge deduplicates
-  /// answers by first (= best-scored) round anyway, the distinguished
-  /// step is always in every dominance live set (so exclusion removes
-  /// whole dominance groups and never changes surviving ones), and the
-  /// set only grows within a run.
+  /// Answers already produced by earlier rounds. Tuples whose
+  /// distinguished binding is in this set are dropped as soon as the
+  /// distinguished variable binds — the round evaluates only its delta
+  /// (the paper's "reusing prior results", Section 5.1). Sound because
+  /// the DPO merge deduplicates answers by first (= best-scored) round
+  /// anyway, the distinguished step is always in every dominance live set
+  /// (so exclusion removes whole dominance groups and never changes
+  /// surviving ones), and the set only grows within a run.
   const std::unordered_set<NodeRef, NodeRefHash>* exclude = nullptr;
 };
 

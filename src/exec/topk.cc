@@ -129,18 +129,6 @@ const char* AlgorithmName(Algorithm algo) {
   return "unknown";
 }
 
-const char* CacheTierName(CacheTier tier) {
-  switch (tier) {
-    case CacheTier::kOff:
-      return "off";
-    case CacheTier::kRun:
-      return "run";
-    case CacheTier::kShared:
-      return "shared";
-  }
-  return "unknown";
-}
-
 Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
                                       const TopKOptions& opts) {
   if (opts.num_shards == 0) return RunWithShards(q, algo, opts, nullptr);
@@ -213,18 +201,18 @@ Result<TopKResult> TopKProcessor::RunWithShards(const Tpq& q, Algorithm algo,
         "shards",
         static_cast<uint64_t>(shards != nullptr ? shards->num_shards() : 0));
   }
-  // A sharded run bypasses the sub-plan result cache (entries key
-  // whole-corpus tuple lists — see RunDpo/RunEncoded). The downgrade
-  // used to be silent; surface it as the FX310 advisory, a counter, and
-  // a trace annotation so "why is my cache cold" has an answer.
-  if (shards != nullptr && opts.result_cache.tier != CacheTier::kOff) {
+  // A sharded DPO run bypasses the result cache (entries key
+  // whole-corpus tuple lists — see RunDpo; SSO/Hybrid never cache). The
+  // downgrade used to be silent; surface it as the FX310 advisory, a
+  // counter, and a trace annotation so "why is my cache cold" has an
+  // answer.
+  if (shards != nullptr && opts.result_cache && algo == Algorithm::kDpo) {
     static Counter* m_cache_off_sharded =
         MetricsRegistry::Global().counter("query.cache_disabled_sharded");
     m_cache_off_sharded->Inc();
     FLEXPATH_LOG_WARN(
         "exec", "result cache disabled for sharded run",
         {"code", std::string(kDiagCacheDisabledSharded)},
-        {"tier_requested", CacheTierName(opts.result_cache.tier)},
         {"shards", static_cast<uint64_t>(shards->num_shards())});
     if (trace != nullptr) {
       collector->current()->Annotate("cache_disabled_sharded", uint64_t{1});
@@ -424,13 +412,12 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
     return round == 0 ? 0.0 : schedule[round - 1].cumulative_penalty;
   };
 
-  // Sub-plan result cache (DESIGN.md §12). The run tier lives for this
-  // call; consecutive rounds differ by one dropped predicate, so round
-  // i+1's plan shares a fingerprint-identical prefix with round i and
-  // resumes from it. With incremental_dpo the merged answer set is pushed
-  // into each round's evaluation as an exclusion set — safe to read from
-  // wave workers because merges (the only writes) happen strictly after
-  // the wave's Wait().
+  // Result cache (DESIGN.md §12). It lives for this call; consecutive
+  // rounds differ by one dropped predicate, so round i+1's plan shares a
+  // fingerprint-identical prefix with round i and resumes from it. The
+  // merged answer set is pushed into each round's evaluation as an
+  // exclusion set — safe to read from wave workers because merges (the
+  // only writes) happen strictly after the wave's Wait().
   std::optional<ResultCache> run_cache;
   EvalCacheContext cache_ctx;
   const EvalCacheContext* cache = nullptr;
@@ -440,15 +427,11 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
   // certified property (FX304): a scheme whose ranking is not provably a
   // pure function of (ss, ks) may not reuse kExact entries, so it runs
   // uncached rather than approximately.
-  if (opts.result_cache.tier != CacheTier::kOff && shards == nullptr &&
-      cert.cache_exact.holds) {
-    run_cache.emplace(opts.result_cache.run_budget_bytes);
-    cache_ctx.run = &*run_cache;
-    if (opts.result_cache.tier == CacheTier::kShared) {
-      cache_ctx.shared = &ResultCache::Global();
-    }
+  if (opts.result_cache && shards == nullptr && cert.cache_exact.holds) {
+    run_cache.emplace();
+    cache_ctx.cache = &*run_cache;
     cache_ctx.corpus_generation = index_->corpus().generation();
-    if (opts.result_cache.incremental_dpo) cache_ctx.exclude = &seen;
+    cache_ctx.exclude = &seen;
     cache = &cache_ctx;
   }
 
@@ -784,30 +767,9 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
   };
   skip_provably_empty();
 
-  // Sub-plan result cache: a re-encoded pass differs from the pass
-  // before only in the steps that gained optional predicates, so the run
-  // tier lets the restart loop resume from the unchanged prefix. (The
-  // prune-off retry keys differently on purpose: the threshold bound
-  // changes step outputs, so pruned and unpruned passes must not share
-  // entries.) No exclusion set: encoded modes produce the whole answer
-  // set in one pass.
-  std::optional<ResultCache> run_cache;
-  EvalCacheContext cache_ctx;
-  const EvalCacheContext* cache = nullptr;
-  // As in RunDpo: sharded runs skip the cache (entries key whole-corpus
-  // tuple lists; FX310), and so do schemes whose certificate refutes
-  // cache exactness (FX304).
-  if (opts.result_cache.tier != CacheTier::kOff && shards == nullptr &&
-      cert.cache_exact.holds) {
-    run_cache.emplace(opts.result_cache.run_budget_bytes);
-    cache_ctx.run = &*run_cache;
-    if (opts.result_cache.tier == CacheTier::kShared) {
-      cache_ctx.shared = &ResultCache::Global();
-    }
-    cache_ctx.corpus_generation = index_->corpus().generation();
-    cache = &cache_ctx;
-  }
-
+  // No result cache here (DESIGN.md §12): a threshold-pruned step's
+  // output depends on the plan suffix's remaining penalty and on k, so
+  // encoded passes run uncached whatever opts.result_cache says.
   bool prune = true;
   for (;;) {
     const Tpq& relaxed = encoded == 0 ? q : schedule[encoded - 1].relaxed;
@@ -848,7 +810,7 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
     }
     result.answers = evaluator_.Evaluate(*plan, mode, prune ? opts.k : 0,
                                          opts.scheme, 0.0, &pass_counters,
-                                         trace, pool, cache, &pass_usage,
+                                         trace, pool, nullptr, &pass_usage,
                                          sptr);
     result.counters.Add(pass_counters);
     if (pass_shard.size() == shard_totals.size()) {

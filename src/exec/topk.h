@@ -39,33 +39,6 @@ enum class Algorithm : uint8_t {
 
 const char* AlgorithmName(Algorithm algo);
 
-/// Which tiers of the sub-plan result cache a run may use (DESIGN.md
-/// §12). Off by default: caching never changes answers, penalties or
-/// relaxation metadata, but it does change the work counters, and the
-/// default keeps every counter-exact differential guarantee intact.
-enum class CacheTier : uint8_t {
-  kOff,     ///< No caching; every plan step executes from scratch.
-  kRun,     ///< Run-local only: DPO round i+1 reuses round i's shared
-            ///  plan prefix within one TopK call.
-  kShared,  ///< Run-local + the process-wide LRU (ResultCache::Global()),
-            ///  which persists across queries and makes repeats warm.
-};
-
-const char* CacheTierName(CacheTier tier);
-
-struct ResultCacheOptions {
-  CacheTier tier = CacheTier::kOff;
-  /// Byte budget of the run-local tier (it dies with the run; the
-  /// process-wide tier's budget belongs to ResultCache::Global()).
-  size_t run_budget_bytes = size_t{64} << 20;
-  /// DPO only: push the already-answered set into each round's
-  /// evaluation so the round computes only its delta (the paper's
-  /// "reusing prior results", Section 5.1). Answers are identical either
-  /// way — the merge deduplicates by first round — so this is purely a
-  /// work saver. Ignored when tier is kOff.
-  bool incremental_dpo = true;
-};
-
 struct TopKOptions {
   size_t k = 10;
   /// The ranking scheme. Must be registered in SchemeRegistry (the three
@@ -109,10 +82,16 @@ struct TopKOptions {
   /// and counters merge in chunk order. Answers, penalties, counters and
   /// trace structure are identical at any thread count (DESIGN.md §10).
   size_t num_threads = 0;
-  /// Sub-plan result cache knobs (DESIGN.md §12). Answers, penalties and
-  /// relaxation metadata are byte-identical at every tier; work counters
-  /// reflect the work actually done, so cache hits make them drop.
-  ResultCacheOptions result_cache = {};
+  /// DPO prefix reuse (DESIGN.md §12): when true, a DPO run keeps a
+  /// run-local cache of its plan steps' outputs, so round i+1 resumes
+  /// from round i's shared plan prefix, and excludes already-answered
+  /// nodes from each round (the paper's "reusing prior results", Section
+  /// 5.1). SSO and Hybrid ignore it. Answers, penalties and relaxation
+  /// metadata are byte-identical either way; only the work counters
+  /// differ (cache_step_hits/misses, tuples_excluded, and the work the
+  /// reused steps skip). Off by default, which keeps every counter-exact
+  /// differential guarantee intact.
+  bool result_cache = false;
   /// Soft per-query CPU budget in thread-CPU milliseconds (coordinator +
   /// pool workers), <= 0 to disable (the default). Checked between DPO
   /// rounds / encoded passes — never inside one — so a run that trips it
@@ -136,10 +115,10 @@ struct TopKOptions {
   /// results: answers, scores, relaxation metadata and every work
   /// counter are byte-identical to the unsharded run at any shard count
   /// (the differential harness checks all of it). Sharding disables the
-  /// sub-plan result cache — cache entries key whole-corpus tuple lists;
-  /// a run that requested both surfaces the conflict as an FX310
-  /// warning, the query.cache_disabled_sharded metric, and a trace
-  /// annotation (see the README cache/shards tables).
+  /// result cache — cache entries key whole-corpus tuple lists; a DPO
+  /// run that requested both surfaces the conflict as an FX310 warning,
+  /// the query.cache_disabled_sharded metric, and a trace annotation
+  /// (see the README cache/shards table).
   /// Shards compose with num_threads: the thread pool fans out over
   /// shards (and, unsharded, over tuple chunks), so threads are the
   /// workers and shards are the work units.
@@ -202,10 +181,19 @@ class TopKProcessor {
         evaluator_(index, ir) {}
 
   /// Evaluates the top-K answers of `q` and all its relaxations
-  /// (Definition 4) with the chosen algorithm. All three algorithms
-  /// return the same answer set for the same query and K, up to ties;
-  /// DPO assigns each relaxation round's answers a uniform structural
-  /// score while SSO/Hybrid score per answer (Section 5.2.1).
+  /// (Definition 4) with the chosen algorithm. DPO assigns each
+  /// relaxation round's answers a uniform structural score while
+  /// SSO/Hybrid score per answer (Section 5.2.1).
+  ///
+  /// Caveat: SSO and Hybrid stop encoding relaxations once a pass yields
+  /// K answers, and that stop rule is not sound for per-answer scores —
+  /// a deeper relaxation can admit an answer that outscores some of the
+  /// K returned. On a 10 MB XMark document (seed 7) Q3 at K=200 encodes
+  /// 6 relaxations and returns 91 answers (ranks 110–200) scoring
+  /// 10.2211 under structure-first, while K=400 ranks node (0,1691)
+  /// 110th with ss 10.2944 — an answer first admitted by a deeper
+  /// relaxation. So the encoded modes' list is not always the top K
+  /// under the engine's own scoring (see ROADMAP item 4(a)).
   Result<TopKResult> Run(const Tpq& q, Algorithm algo,
                          const TopKOptions& opts);
 

@@ -185,8 +185,9 @@ DerivedRates MetricsHistory::Derived(double window_s) const {
   rates.errors_per_s = get("query.errors").rate_per_s;
   rates.rounds_pruned_per_s = get("query.rounds_pruned_static").rate_per_s;
   rates.cpu_ms_per_s = get("query.cpu_ms").sum_rate_per_s;
-  const double hits = get("cache.hits").delta;
-  const double misses = get("cache.misses").delta;
+  // Plan steps served from vs computed into the DPO result cache.
+  const double hits = get("exec.cache_step_hits").delta;
+  const double misses = get("exec.cache_step_misses").delta;
   rates.cache_hit_rate =
       hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
   // Mean latency over the window, across the per-algorithm histograms.

@@ -47,7 +47,9 @@ struct SeriesWindow {
 struct DerivedRates {
   double qps = 0.0;                 ///< rate(query.count)
   double errors_per_s = 0.0;        ///< rate(query.errors)
-  double cache_hit_rate = 0.0;      ///< Δhits / (Δhits + Δmisses), result cache.
+  /// Δexec.cache_step_hits / (Δhits + Δexec.cache_step_misses): the
+  /// share of DPO plan steps the result cache served.
+  double cache_hit_rate = 0.0;
   double rounds_pruned_per_s = 0.0; ///< rate(query.rounds_pruned_static)
   double cpu_ms_per_s = 0.0;        ///< sum-rate(query.cpu_ms)
   double latency_mean_ms = 0.0;     ///< Δsum/Δcount over query.latency_ms.*

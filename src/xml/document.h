@@ -80,7 +80,7 @@ class Document {
   const std::string* FindAttribute(NodeId id, TagId name) const;
 
   /// Wraps an already-valid node vector (pre-order, interval-numbered)
-  /// as a Document — used by deserializers (binary_codec, storage) that
+  /// as a Document — used by the packed-corpus reader (storage) to
   /// reproduce nodes exactly as a builder once emitted them. Performs no
   /// validation.
   static Document Assemble(std::vector<Element> nodes) {

@@ -115,7 +115,7 @@ TEST_F(FlightRecorderTest, ToJsonCarriesTypeNamesAndPayloads) {
 
 TEST_F(FlightRecorderTest, DumpToWritesTheSameShapeAsToJson) {
   FlightRecorder& rec = FlightRecorder::Global();
-  rec.Record(FlightEventType::kCacheEvict, 3, 4096);
+  rec.Record(FlightEventType::kBudgetTrip, 3, 4096);
   char path[] = "/tmp/flightrec_dump_XXXXXX";
   const int fd = mkstemp(path);
   ASSERT_GE(fd, 0);
@@ -127,7 +127,7 @@ TEST_F(FlightRecorderTest, DumpToWritesTheSameShapeAsToJson) {
   std::remove(path);
   const std::string dumped = buffer.str();
   EXPECT_NE(dumped.find("\"recorded\":1"), std::string::npos) << dumped;
-  EXPECT_NE(dumped.find("\"type\":\"cache_evict\""), std::string::npos)
+  EXPECT_NE(dumped.find("\"type\":\"budget_trip\""), std::string::npos)
       << dumped;
   EXPECT_NE(dumped.find("\"a\":3"), std::string::npos) << dumped;
   EXPECT_NE(dumped.find("\"b\":4096"), std::string::npos) << dumped;

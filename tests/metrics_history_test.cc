@@ -132,8 +132,8 @@ TEST(MetricsHistoryTest, HistogramTracksCountAndSum) {
 TEST(MetricsHistoryTest, DerivedRatesFromStandardMetrics) {
   MetricsRegistry registry;
   Counter* queries = registry.counter("query.count");
-  Counter* hits = registry.counter("cache.hits");
-  Counter* misses = registry.counter("cache.misses");
+  Counter* hits = registry.counter("exec.cache_step_hits");
+  Counter* misses = registry.counter("exec.cache_step_misses");
   Histogram* lat = registry.histogram("query.latency_ms.hybrid");
   MetricsHistory history(&registry);
   history.SampleNow();

@@ -22,7 +22,7 @@ QueryLogRecord SampleRecord() {
   r.scheme = "structure-first";
   r.k = 10;
   r.threads = 4;
-  r.cache_tier = "shared";
+  r.cache_tier = "run";
   r.latency_ms = 1.5;
   r.answers = 7;
   r.relaxations = 2;

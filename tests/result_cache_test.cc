@@ -1,9 +1,9 @@
 // Tests for the sub-plan result cache (DESIGN.md §12): plan-step
-// fingerprint stability, LRU eviction under a tiny byte budget,
-// corpus-generation invalidation after a reload, warm-run work savings,
-// and — the load-bearing guarantee — a cache-on/off differential across
-// all three algorithms and thread counts proving answers, penalties and
-// relaxation metadata are byte-identical at every cache tier.
+// fingerprint stability, LRU eviction under a tiny byte budget, DPO
+// prefix reuse on the paper's Q3, SSO/Hybrid never caching, and — the
+// load-bearing guarantee — a cache-on/off differential across all three
+// algorithms and thread counts proving answers, penalties and
+// relaxation metadata are byte-identical with the cache on.
 #include <map>
 #include <memory>
 #include <string>
@@ -22,7 +22,9 @@
 #include "relax/penalty.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
+#include "rank/score.h"
 #include "tests/test_util.h"
+#include "xmark/generator.h"
 #include "xml/corpus.h"
 
 namespace flexpath {
@@ -90,13 +92,10 @@ TEST(ResultCacheTest, DistinctQueriesGetDistinctFingerprints) {
 }
 
 TEST(ResultCacheTest, StepCacheKeyDependsOnEveryComponent) {
-  const uint64_t base = StepCacheKey(1, 2, 0, 0, 0);
-  EXPECT_NE(base, StepCacheKey(9, 2, 0, 0, 0));  // fingerprint
-  EXPECT_NE(base, StepCacheKey(1, 3, 0, 0, 0));  // corpus generation
-  EXPECT_NE(base, StepCacheKey(1, 2, 1, 0, 0));  // eval mode
-  EXPECT_NE(base, StepCacheKey(1, 2, 0, 1, 0));  // rank scheme
-  EXPECT_NE(base, StepCacheKey(1, 2, 0, 0, 5));  // pruning k
-  EXPECT_EQ(base, StepCacheKey(1, 2, 0, 0, 0));  // deterministic
+  const uint64_t base = StepCacheKey(1, 2);
+  EXPECT_NE(base, StepCacheKey(9, 2));  // fingerprint
+  EXPECT_NE(base, StepCacheKey(1, 3));  // corpus generation
+  EXPECT_EQ(base, StepCacheKey(1, 2));  // deterministic
 }
 
 // --- LRU eviction -----------------------------------------------------
@@ -138,30 +137,30 @@ TEST(ResultCacheTest, EvictionDoesNotInvalidateHandedOutEntries) {
   EXPECT_EQ((*held)[0], 7);  // still alive and intact
 }
 
-TEST(ResultCacheTest, ResultCacheStatsTrackHitsMissesEvictions) {
-  ResultCache cache(/*budget_bytes=*/1000);
+TEST(ResultCacheTest, ResultCacheEvictsToItsBudget) {
+  ResultCache cache;
   EXPECT_EQ(cache.Get(1), nullptr);
+  // Charges are nominal: `bytes` is what the LRU budgets, not what the
+  // entry really holds.
   auto entry = std::make_shared<CachedStepResult>();
   entry->tuples.resize(1);
-  entry->bytes = 600;
+  entry->bytes = ResultCache::kBudgetBytes / 2 + 1;
   cache.Put(1, entry);
   EXPECT_NE(cache.Get(1), nullptr);
   auto entry2 = std::make_shared<CachedStepResult>();
-  entry2->bytes = 600;
-  cache.Put(2, entry2);  // 1200 > 1000: evicts key 1
+  entry2->bytes = ResultCache::kBudgetBytes / 2 + 1;
+  cache.Put(2, entry2);  // Over budget: evicts key 1.
   EXPECT_EQ(cache.Get(1), nullptr);
-
-  const ResultCache::Stats s = cache.GetStats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.insertions, 2u);
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.bytes, 600u);
-  EXPECT_EQ(s.budget, 1000u);
+  EXPECT_NE(cache.Get(2), nullptr);
+  // An entry larger than the whole budget is dropped.
+  auto huge = std::make_shared<CachedStepResult>();
+  huge->bytes = ResultCache::kBudgetBytes + 1;
+  cache.Put(3, huge);
+  EXPECT_EQ(cache.Get(3), nullptr);
+  EXPECT_NE(cache.Get(2), nullptr);
 }
 
-// --- Warm runs and invalidation ---------------------------------------
+// --- DPO prefix reuse on the paper's Q3 -------------------------------
 
 Tpq Parse(const char* xpath, Corpus* corpus) {
   Result<Tpq> q = ParseXPath(xpath, corpus->tags(), {});
@@ -169,83 +168,84 @@ Tpq Parse(const char* xpath, Corpus* corpus) {
   return std::move(q).value();
 }
 
-TEST(ResultCacheTest, WarmRunHitsAndSkipsWork) {
-  ResultCache::Global().Clear();
-  Rng rng(1003);
-  Rig rig(&rng, 2, 80);
-  TopKProcessor processor(rig.index.get(), rig.stats.get(), rig.ir.get());
-  const Tpq q = testing_util::RandomTpq(&rng, rig.corpus.tags(), 5);
-
-  TopKOptions opts;
-  opts.k = 5;
-  opts.num_threads = 1;
-  opts.result_cache.tier = CacheTier::kShared;
-  Result<TopKResult> cold = processor.Run(q, Algorithm::kDpo, opts);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  Result<TopKResult> warm = processor.Run(q, Algorithm::kDpo, opts);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-
-  EXPECT_GT(warm->counters.cache_step_hits, 0u);
-  // A cache hit skips the probes the cached steps would have done.
-  EXPECT_LT(warm->counters.candidates_probed,
-            cold->counters.candidates_probed);
-  // Same answers regardless.
-  ASSERT_EQ(warm->answers.size(), cold->answers.size());
-  for (size_t i = 0; i < cold->answers.size(); ++i) {
-    EXPECT_EQ(warm->answers[i].node, cold->answers[i].node);
-    EXPECT_EQ(warm->answers[i].score, cold->answers[i].score);
+// Section 6's Q3 over a small XMark document: deep enough that DPO runs
+// several relaxation rounds at K=50.
+struct XMarkRig {
+  XMarkRig() {
+    XMarkOptions gopts;
+    gopts.target_bytes = 200000;
+    gopts.seed = 7;
+    Result<Document> doc = GenerateXMark(gopts, corpus.tags());
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    corpus.Add(std::move(doc).value());
+    index = std::make_unique<ElementIndex>(&corpus);
+    stats = std::make_unique<DocumentStats>(&corpus);
+    ir = std::make_unique<IrEngine>(&corpus);
+    processor = std::make_unique<TopKProcessor>(index.get(), stats.get(),
+                                                ir.get());
+    q3 = Parse(
+        "//item[./description/parlist/listitem and ./mailbox/mail/text["
+        "./bold and ./keyword and ./emph] and ./name and ./incategory]",
+        &corpus);
   }
+
+  Corpus corpus;
+  std::unique_ptr<ElementIndex> index;
+  std::unique_ptr<DocumentStats> stats;
+  std::unique_ptr<IrEngine> ir;
+  std::unique_ptr<TopKProcessor> processor;
+  Tpq q3;
+};
+
+TEST(ResultCacheTest, DpoReusesPriorRoundPrefixOnQ3) {
+  XMarkRig rig;
+  TopKOptions opts;
+  opts.k = 50;
+  opts.num_threads = 1;
+  Result<TopKResult> off = rig.processor->Run(rig.q3, Algorithm::kDpo, opts);
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  ASSERT_GE(off->relaxations_used, 2u) << "Q3 must relax for reuse to show";
+  opts.result_cache = true;
+  Result<TopKResult> on = rig.processor->Run(rig.q3, Algorithm::kDpo, opts);
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+
+  EXPECT_GT(on->counters.cache_step_hits, 0u);
+  // A reused prefix skips the probes its steps would have done.
+  EXPECT_LT(on->counters.candidates_probed, off->counters.candidates_probed);
+  // Same answers, penalties and relaxation metadata regardless.
+  EXPECT_EQ(AnswersDigest(on->answers), AnswersDigest(off->answers));
+  EXPECT_EQ(on->relaxations_used, off->relaxations_used);
+  EXPECT_EQ(on->penalty_applied, off->penalty_applied);
+  EXPECT_EQ(on->predicates_dropped, off->predicates_dropped);
 }
 
-TEST(ResultCacheTest, CorpusReloadInvalidatesSharedEntries) {
-  ResultCache::Global().Clear();
-  const char* kXml =
-      "<r><a><b/><c/></a><a><b/></a><a><b/><c/></a></r>";
-  auto load = [&](Corpus* corpus) {
-    Result<DocId> id = corpus->AddXml(kXml);
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-  };
-
-  Corpus corpus1;
-  load(&corpus1);
-  ElementIndex index1(&corpus1);
-  DocumentStats stats1(&corpus1);
-  IrEngine ir1(&corpus1);
-  TopKProcessor proc1(&index1, &stats1, &ir1);
-  const Tpq q1 = Parse("//a[./b][./c]", &corpus1);
-
-  TopKOptions opts;
-  opts.k = 3;
-  opts.num_threads = 1;
-  opts.result_cache.tier = CacheTier::kShared;
-  Result<TopKResult> first = proc1.Run(q1, Algorithm::kDpo, opts);
-  ASSERT_TRUE(first.ok());
-  Result<TopKResult> repeat = proc1.Run(q1, Algorithm::kDpo, opts);
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_GT(repeat->counters.cache_step_hits, 0u);
-
-  // An identical corpus loaded fresh has a new generation, so nothing
-  // cached for the old one can be served — even though the content (and
-  // hence every step fingerprint) is the same.
-  Corpus corpus2;
-  load(&corpus2);
-  EXPECT_NE(corpus1.generation(), corpus2.generation());
-  ElementIndex index2(&corpus2);
-  DocumentStats stats2(&corpus2);
-  IrEngine ir2(&corpus2);
-  TopKProcessor proc2(&index2, &stats2, &ir2);
-  const Tpq q2 = Parse("//a[./b][./c]", &corpus2);
-  const uint64_t shared_hits_before = ResultCache::Global().GetStats().hits;
-  Result<TopKResult> fresh = proc2.Run(q2, Algorithm::kDpo, opts);
-  ASSERT_TRUE(fresh.ok());
-  // No hit may come from the shared tier — everything in it belongs to
-  // the dead corpus1 generation. (cache_step_hits can still be nonzero:
-  // DPO's run-local prefix reuse works fine under the new generation.)
-  EXPECT_EQ(ResultCache::Global().GetStats().hits, shared_hits_before);
-  // It still answers correctly, caching under its own generation.
-  ASSERT_EQ(fresh->answers.size(), first->answers.size());
-  for (size_t i = 0; i < first->answers.size(); ++i) {
-    EXPECT_EQ(fresh->answers[i].node, first->answers[i].node);
+// Encoded passes never cache: a threshold-pruned step's output depends on
+// k and on the plan suffix's remaining penalty, neither of which a step
+// key holds. So with the cache on, SSO and Hybrid neither probe nor fill
+// it, and answer exactly as with it off, under every scheme.
+TEST(ResultCacheTest, EncodedPassesNeverTouchTheCache) {
+  XMarkRig rig;
+  constexpr RankScheme kSchemes[] = {RankScheme::kStructureFirst,
+                                     RankScheme::kKeywordFirst,
+                                     RankScheme::kCombined};
+  for (RankScheme scheme : kSchemes) {
+    for (Algorithm algo : {Algorithm::kSso, Algorithm::kHybrid}) {
+      TopKOptions opts;
+      opts.k = 50;
+      opts.scheme = scheme;
+      opts.num_threads = 1;
+      Result<TopKResult> off = rig.processor->Run(rig.q3, algo, opts);
+      ASSERT_TRUE(off.ok()) << off.status().ToString();
+      opts.result_cache = true;
+      Result<TopKResult> on = rig.processor->Run(rig.q3, algo, opts);
+      ASSERT_TRUE(on.ok()) << on.status().ToString();
+      EXPECT_EQ(on->counters.cache_step_hits, 0u)
+          << RankSchemeName(scheme) << " " << AlgorithmName(algo);
+      EXPECT_EQ(on->counters.cache_step_misses, 0u)
+          << RankSchemeName(scheme) << " " << AlgorithmName(algo);
+      EXPECT_EQ(AnswersDigest(on->answers), AnswersDigest(off->answers))
+          << RankSchemeName(scheme) << " " << AlgorithmName(algo);
+    }
   }
 }
 
@@ -274,7 +274,7 @@ TEST(ResultCacheTest, IncrementalDpoExcludesAnsweredNodes) {
   ASSERT_GT(baseline->relaxations_used, 0u);
 
   TopKOptions on = off;
-  on.result_cache.tier = CacheTier::kRun;
+  on.result_cache = true;
   Result<TopKResult> incremental = processor.Run(q, Algorithm::kDpo, on);
   ASSERT_TRUE(incremental.ok());
   EXPECT_GT(incremental->counters.tuples_excluded, 0u);
@@ -315,7 +315,6 @@ std::string AnswerFingerprint(const TopKResult& r) {
 TEST(ResultCacheTest, CacheOnOffDifferentialAcrossAlgorithmsAndThreads) {
   constexpr Algorithm kAlgos[] = {Algorithm::kDpo, Algorithm::kSso,
                                   Algorithm::kHybrid};
-  constexpr CacheTier kTiers[] = {CacheTier::kRun, CacheTier::kShared};
   constexpr size_t kThreadCounts[] = {1, 4};
 
   Rng rng(1004);
@@ -336,21 +335,12 @@ TEST(ResultCacheTest, CacheOnOffDifferentialAcrossAlgorithmsAndThreads) {
         opts.num_threads = threads;
         Result<TopKResult> off = processor.Run(q, algo, opts);
         ASSERT_TRUE(off.ok()) << off.status().ToString();
-
-        for (CacheTier tier : kTiers) {
-          opts.result_cache.tier = tier;
-          // Twice per tier: the cold pass (populating) and the warm pass
-          // (serving hits) must both match the uncached run exactly.
-          for (int pass = 0; pass < 2; ++pass) {
-            Result<TopKResult> on = processor.Run(q, algo, opts);
-            ASSERT_TRUE(on.ok()) << on.status().ToString();
-            EXPECT_EQ(AnswerFingerprint(*on), AnswerFingerprint(*off))
-                << "iter " << iter << " algo " << AlgorithmName(algo)
-                << " threads " << threads << " tier "
-                << CacheTierName(tier) << " pass " << pass;
-          }
-        }
-        opts.result_cache.tier = CacheTier::kOff;
+        opts.result_cache = true;
+        Result<TopKResult> on = processor.Run(q, algo, opts);
+        ASSERT_TRUE(on.ok()) << on.status().ToString();
+        EXPECT_EQ(AnswerFingerprint(*on), AnswerFingerprint(*off))
+            << "iter " << iter << " algo " << AlgorithmName(algo)
+            << " threads " << threads;
       }
     }
   }

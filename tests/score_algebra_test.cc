@@ -421,7 +421,7 @@ TEST_F(CertifiedExecutionTest, ShardedRunDisablesCacheAndCountsIt) {
   cached_sharded.k = 3;
   cached_sharded.num_threads = 1;
   cached_sharded.num_shards = 2;
-  cached_sharded.result_cache.tier = CacheTier::kShared;
+  cached_sharded.result_cache = true;
   Result<TopKResult> a = fp_.QueryTpq(q_, cached_sharded, Algorithm::kDpo);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_EQ(disabled->Value(), before + 1);
@@ -429,7 +429,7 @@ TEST_F(CertifiedExecutionTest, ShardedRunDisablesCacheAndCountsIt) {
   // Answers match the cache-off sharded run — the cache was dropped,
   // not the sharding.
   TopKOptions plain_sharded = cached_sharded;
-  plain_sharded.result_cache.tier = CacheTier::kOff;
+  plain_sharded.result_cache = false;
   Result<TopKResult> b = fp_.QueryTpq(q_, plain_sharded, Algorithm::kDpo);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(AnswersDigest(a->answers), AnswersDigest(b->answers));
