@@ -9,10 +9,6 @@
 //     noise,
 //   - asserts the answers of the cache-on and cache-off runs are
 //     identical,
-//   - runs the same workload sharded (scatter-gather over 3 document-
-//     range shards, DESIGN.md §15), asserts answers AND every execution
-//     counter are byte-identical to the unsharded run, and records both
-//     timings so the baseline diff tracks scatter-gather overhead,
 //   - packs the same-size corpus into the single-file storage format
 //     (DESIGN.md §17), opens it mmap-backed, runs the workload cold
 //     (first touch decodes pages into the buffer pools) and warm (pool
@@ -21,9 +17,10 @@
 //     bytes-resident proxy (buffer-pool bytes + decoded document bytes),
 //   - writes a BENCH_topk.json artifact (--out PATH to move it; default
 //     ./BENCH_topk.json) with the runs' timings, counters, resource
-//     usage, and the cache hit rate. ci/bench_compare.py diffs that
-//     file against the committed ci/bench_baseline.json and warns — does
-//     not fail — on wall-time regressions.
+//     usage, and the cache hit rate (the cache-off run is recorded as
+//     "uncached", the cache-on run as "cached"). ci/bench_compare.py
+//     diffs that file against the committed ci/bench_baseline.json and
+//     warns — does not fail — on wall-time regressions.
 // Exit status 0 = healthy; any violated invariant prints a diagnostic
 // and exits 1 so the CI job fails.
 #include <chrono>
@@ -31,7 +28,6 @@
 #include <cstring>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/metrics.h"
@@ -114,10 +110,8 @@ int main(int argc, char** argv) {
   auto& fixture = flexpath::bench_util::GetFixtureMb(1.0);
   const flexpath::Tpq q = fixture.Parse(flexpath::bench_util::kQ3);
   constexpr size_t kK = 50;
-  constexpr size_t kShards = 3;
 
-  // Reference run without any caching (also the unsharded baseline the
-  // scatter-gather run is diffed against).
+  // Reference run without any caching.
   auto start = std::chrono::steady_clock::now();
   const TopKResult reference = flexpath::bench_util::RunTopK(
       fixture, q, Algorithm::kDpo, kK, flexpath::RankScheme::kStructureFirst,
@@ -129,16 +123,6 @@ int main(int argc, char** argv) {
       fixture, q, Algorithm::kDpo, kK, flexpath::RankScheme::kStructureFirst,
       /*threads=*/1, /*cache=*/true);
   const double cached_ms = MsSince(start);
-
-  // Scatter-gather over document-range shards, cache off (sharding
-  // disables the sub-plan cache): answers and counters must be
-  // byte-identical to the unsharded reference; the timing delta is the
-  // scatter-gather overhead the baseline diff watches.
-  start = std::chrono::steady_clock::now();
-  const TopKResult sharded = flexpath::bench_util::RunTopK(
-      fixture, q, Algorithm::kDpo, kK, flexpath::RankScheme::kStructureFirst,
-      /*threads=*/1, /*cache=*/false, kShards);
-  const double sharded_ms = MsSince(start);
 
   // Packed-corpus storage engine: the same XMark document through
   // FlexPath's pack → mmap-open → query path. The cold run pays the lazy
@@ -266,37 +250,6 @@ int main(int argc, char** argv) {
                  AnswerKey(reference).c_str(), AnswerKey(cached).c_str());
     ++failures;
   }
-  if (AnswerKey(sharded) != AnswerKey(reference)) {
-    std::fprintf(stderr,
-                 "FAIL: sharded answers differ from the unsharded run\n"
-                 "  unsharded: %s\n  sharded  : %s\n",
-                 AnswerKey(reference).c_str(), AnswerKey(sharded).c_str());
-    ++failures;
-  }
-  {
-    std::string mismatch;
-    const flexpath::ExecCounters& a = reference.counters;
-    const flexpath::ExecCounters& b = sharded.counters;
-    std::vector<std::pair<const char*, uint64_t>> ref_fields;
-    a.ForEach([&](const char* name, uint64_t value) {
-      ref_fields.emplace_back(name, value);
-    });
-    size_t i = 0;
-    b.ForEach([&](const char* name, uint64_t value) {
-      if (i < ref_fields.size() && ref_fields[i].second != value) {
-        mismatch += std::string(" ") + name + "=" +
-                    std::to_string(ref_fields[i].second) + "vs" +
-                    std::to_string(value);
-      }
-      ++i;
-    });
-    if (!mismatch.empty()) {
-      std::fprintf(stderr,
-                   "FAIL: sharded run counters diverge from unsharded:%s\n",
-                   mismatch.c_str());
-      ++failures;
-    }
-  }
   // Q3 is the deep-relaxation query; if it stops relaxing the cache smoke
   // stops covering the cross-round reuse it exists to watch.
   if (reference.relaxations_used < 3) {
@@ -321,11 +274,8 @@ int main(int argc, char** argv) {
   json += ",\"cache_hit_rate\":" + std::to_string(hit_rate);
   json += ",";
   AppendRunJson(&json, "cached", cached, cached_ms);
-  json += ",\"shards\":" + std::to_string(kShards);
   json += ",";
-  AppendRunJson(&json, "unsharded", reference, reference_ms);
-  json += ",";
-  AppendRunJson(&json, "sharded", sharded, sharded_ms);
+  AppendRunJson(&json, "uncached", reference, reference_ms);
   json += ",\"packed_file_bytes\":" + std::to_string(packed_file_bytes);
   json += ",\"packed_pack_ms\":" + std::to_string(pack_ms);
   json += ",\"packed_open_ms\":" + std::to_string(packed_open_ms);

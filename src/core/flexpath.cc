@@ -223,7 +223,6 @@ Result<TopKResult> FlexPath::QueryTpq(const Tpq& q, const TopKOptions& opts,
   {
     MutexLock lock(varz_mu_);
     ++varz_queries_;
-    if (opts.num_shards > 0) ++varz_sharded_queries_;
     if (!result.ok()) {
       ++varz_errors_;
     } else {
@@ -283,19 +282,16 @@ void FlexPath::SetQueryLog(QueryLogWriter* log) {
 std::string FlexPath::VarzJson() const {
   uint64_t queries = 0;
   uint64_t errors = 0;
-  uint64_t sharded = 0;
   ResourceUsage usage;
   {
     MutexLock lock(varz_mu_);
     queries = varz_queries_;
     errors = varz_errors_;
-    sharded = varz_sharded_queries_;
     usage = varz_usage_;
   }
   const uint64_t succeeded = queries - errors;
   std::string out = "{\"queries\":" + std::to_string(queries);
   out += ",\"errors\":" + std::to_string(errors);
-  out += ",\"sharded_queries\":" + std::to_string(sharded);
   out += ",\"usage_total\":{";
   bool first = true;
   usage.ForEach([&out, &first](const char* name, double value) {

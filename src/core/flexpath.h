@@ -164,11 +164,11 @@ class FlexPath {
   AnalyzerContext analyzer_context() const;
 
   /// The score-algebra certificate of `scheme` (flexcheck v2, DESIGN.md
-  /// §16): the four statically proved/refuted properties — relaxation
-  /// monotonicity, order invariance, truncation safety, cache exactness
-  /// — plus the optimization directives the engine derives from them.
-  /// NotFound for a scheme value the registry has never seen. Corpus
-  /// independent; works before Build().
+  /// §16): the three statically proved/refuted properties — relaxation
+  /// monotonicity, order invariance, cache exactness — plus the
+  /// optimization directives the engine derives from them. NotFound
+  /// for a scheme value the registry has never seen. Corpus independent;
+  /// works before Build().
   Result<SchemeCertificate> CertifyScheme(RankScheme scheme) const;
 
   /// JSON array with the certificate of every registered scheme (the
@@ -255,9 +255,9 @@ class FlexPath {
   }
 
   /// One JSON object with this instance's cumulative per-query resource
-  /// accounting — query/error/sharded-query counts plus the summed and
-  /// per-query-mean ResourceUsage across every QueryTpq run:
-  ///   {"queries":..,"errors":..,"sharded_queries":..,
+  /// accounting — query/error counts plus the summed and per-query-mean
+  /// ResourceUsage across every QueryTpq run:
+  ///   {"queries":..,"errors":..,
   ///    "usage_total":{"cpu_ms":..,...},"usage_mean":{...}}
   std::string VarzJson() const;
 
@@ -291,7 +291,6 @@ class FlexPath {
   mutable Mutex varz_mu_;
   uint64_t varz_queries_ GUARDED_BY(varz_mu_) = 0;
   uint64_t varz_errors_ GUARDED_BY(varz_mu_) = 0;
-  uint64_t varz_sharded_queries_ GUARDED_BY(varz_mu_) = 0;
   ResourceUsage varz_usage_ GUARDED_BY(varz_mu_);
 };
 

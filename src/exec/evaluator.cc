@@ -6,13 +6,11 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
 #include "rank/scheme_registry.h"
-#include "shard/merge.h"
 
 namespace flexpath {
 
@@ -79,52 +77,6 @@ void DominancePrune(const std::vector<int>& live_steps,
     if (keep[i]) kept.push_back(std::move((*tuples)[i]));
   }
   *tuples = std::move(kept);
-}
-
-/// The one cross-shard dominance collision class: non-null live bindings
-/// are document-local and shards are document-disjoint, so tuples from
-/// different shards can only agree on every live binding when all those
-/// bindings are null (vacuously, when no live step is bound yet). After
-/// per-shard DominancePrune each shard holds at most one such tuple;
-/// this pass keeps the global winner — lowest penalty, earliest shard on
-/// ties, which is exactly the first-seen tuple a global prune would have
-/// kept — and erases the rest, making the per-shard pipeline's combined
-/// tuple set byte-identical to the unsharded one.
-void MergeNullLive(const std::vector<int>& live_steps,
-                   std::vector<std::vector<Tuple>>* parts) {
-  struct Hit {
-    size_t part;
-    size_t idx;
-    double penalty;
-  };
-  std::vector<Hit> hits;
-  for (size_t p = 0; p < parts->size(); ++p) {
-    const std::vector<Tuple>& ts = (*parts)[p];
-    for (size_t i = 0; i < ts.size(); ++i) {
-      bool all_null = true;
-      for (int s : live_steps) {
-        if (!IsNull(ts[i].bindings[static_cast<size_t>(s)])) {
-          all_null = false;
-          break;
-        }
-      }
-      if (all_null) {
-        // Per-shard DominancePrune left at most one per shard.
-        hits.push_back(Hit{p, i, ts[i].penalty});
-        break;
-      }
-    }
-  }
-  if (hits.size() < 2) return;
-  size_t win = 0;
-  for (size_t h = 1; h < hits.size(); ++h) {
-    if (hits[h].penalty < hits[win].penalty) win = h;
-  }
-  for (size_t h = hits.size(); h-- > 0;) {
-    if (h == win) continue;
-    std::vector<Tuple>& ts = (*parts)[hits[h].part];
-    ts.erase(ts.begin() + static_cast<long>(hits[h].idx));
-  }
 }
 
 /// Runs `body(begin, end, out, ctr)` over [0, n) in contiguous chunks on
@@ -212,8 +164,7 @@ void ExecCounters::Add(const ExecCounters& other) {
 std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     const JoinPlan& plan, EvalMode mode, size_t k, RankScheme scheme,
     double exact_penalty, ExecCounters* counters, TraceCollector* trace,
-    ThreadPool* pool, const EvalCacheContext* cache, ResourceUsage* usage,
-    const ShardEvalContext* shard) {
+    ThreadPool* pool, const EvalCacheContext* cache, ResourceUsage* usage) {
   // Work is tallied locally, then folded into the caller's counters and
   // the global registry — so per-call deltas are exact even when the
   // caller accumulates across plan passes.
@@ -221,21 +172,12 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   ++ctr.plan_passes;
   double worker_cpu_ms = 0.0;
 
-  const bool sharded = shard != nullptr;
-  // The cache keys whole-corpus tuple lists; a sharded pass neither
-  // probes nor populates it (callers already disable it — see topk.cc).
   // Only kExact outputs are cacheable: a pruned step's output depends on
   // k and on the plan suffix's remaining penalty, which no key holds.
-  assert(!sharded || cache == nullptr);
   assert(mode == EvalMode::kExact || cache == nullptr);
-  if (sharded || mode != EvalMode::kExact) cache = nullptr;
-  const size_t nshards = sharded ? shard->shards->num_shards() : 1;
-  assert(nshards > 0);
-  // Per-shard work attribution, reported through the shard context.
-  std::vector<ExecCounters> shard_ctr(sharded ? nshards : 0);
+  if (mode != EvalMode::kExact) cache = nullptr;
 
   const Corpus& corpus = index_->corpus();
-  assert(!sharded || &shard->shards->corpus() == &corpus);
   const std::vector<PlanStep>& steps = plan.steps();
   assert(!steps.empty());
 
@@ -273,11 +215,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
       prune ? cert->prune_ks_factor * plan.max_keyword_score() : 0.0;
   const int dist_step = plan.distinguished_step();
 
-  // One tuple list per shard; the serial path is the one-part case,
-  // except that it runs the cache and the within-step chunk fan-out
-  // (shards are the parallel unit when sharding).
-  std::vector<std::vector<Tuple>> parts(nshards);
-  std::vector<Tuple>& tuples = parts[0];  ///< Serial-path alias.
+  std::vector<Tuple> tuples;
 
   // --- Sub-plan result cache (DESIGN.md §12). ---------------------------
   const bool cache_on = cache != nullptr;
@@ -348,13 +286,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
       if (val == nullptr || !ap.Matches(*val)) return false;
     }
     return true;
-  };
-
-  // The shard's access path: its own doc-range index. NodeRefs it yields
-  // are global, so everything downstream of the scan is shard-agnostic.
-  auto scan_for = [&](size_t part, TagId tag) {
-    return sharded ? shard->shards->index(part).Scan(tag)
-                   : index_->Scan(tag);
   };
 
   // --- Cache probe: resume from the deepest cached plan prefix. ---------
@@ -429,75 +360,36 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
         out->push_back(std::move(t));
       }
     };
-    if (!sharded) {
-      const ScanHandle scan0 = index_->Scan(step0.tag);
-      ChunkedExtend(pool, scan0.size(), /*grain=*/1024, &tuples, &ctr,
-                    &worker_cpu_ms,
-                    [&](size_t begin, size_t end, std::vector<Tuple>* out,
-                        ExecCounters* c) { seed(scan0, begin, end, out, c); });
-      DominancePrune(plan.LiveSteps(0), &tuples);
-    } else {
-      // Scatter: each shard seeds from its own range-restricted scan.
-      // Per-shard scan lists partition the global one in document order,
-      // so concatenating in shard order reproduces the serial seed list,
-      // and the null-live merge restores the one cross-shard prune.
-      std::vector<ScanHandle> scans;
-      scans.reserve(nshards);
-      for (size_t p = 0; p < nshards; ++p) {
-        scans.push_back(scan_for(p, step0.tag));
-      }
-      std::vector<ExecCounters> cs(nshards);
-      TaskGroup group(pool);
-      for (size_t p = 0; p < nshards; ++p) {
-        group.Run([&, p] {
-          seed(scans[p], 0, scans[p].size(), &parts[p], &cs[p]);
-          DominancePrune(plan.LiveSteps(0), &parts[p]);
-        });
-      }
-      group.Wait();
-      worker_cpu_ms += group.WorkerCpuMs();
-      for (size_t p = 0; p < nshards; ++p) {
-        ctr.Add(cs[p]);
-        shard_ctr[p].Add(cs[p]);
-      }
-      MergeNullLive(plan.LiveSteps(0), &parts);
-    }
-    store_step(0);
+    const ScanHandle scan0 = index_->Scan(step0.tag);
+    ChunkedExtend(pool, scan0.size(), /*grain=*/1024, &tuples, &ctr,
+                  &worker_cpu_ms,
+                  [&](size_t begin, size_t end, std::vector<Tuple>* out,
+                      ExecCounters* c) { seed(scan0, begin, end, out, c); });
+    DominancePrune(plan.LiveSteps(0), &tuples);
+        store_step(0);
     start_step = 1;
     scan_span.Annotate("candidates", ctr.candidates_probed);
-    uint64_t seeded = 0;
-    for (const std::vector<Tuple>& ts : parts) seeded += ts.size();
-    scan_span.Annotate("tuples_out", seeded);
+    scan_span.Annotate("tuples_out", static_cast<uint64_t>(tuples.size()));
   }
 
   // Pruning-threshold helper: the k-th best guaranteed (lower-bound)
-  // score among distinct answers, over the union of every part's tuples
-  // — the bound is a global quantity even when execution is sharded.
-  // Returns -inf when fewer than k distinct answers exist.
+  // score among distinct answers. Returns -inf when fewer than k distinct
+  // answers exist.
   auto prune_bound = [&](size_t s) {
     // The bound must come from distinct *answers*; until the
     // distinguished variable is bound we cannot count answers soundly,
     // so pruning only starts afterwards.
-    const std::vector<Tuple>* first = nullptr;
-    for (const std::vector<Tuple>& ts : parts) {
-      if (!ts.empty()) {
-        first = &ts;
-        break;
-      }
-    }
-    if (first == nullptr ||
-        (*first)[0].bindings.size() <= static_cast<size_t>(dist_step)) {
+    if (tuples.empty() ||
+        tuples[0].bindings.size() <= static_cast<size_t>(dist_step)) {
       return -std::numeric_limits<double>::infinity();
     }
     std::unordered_map<NodeRef, double, NodeRefHash> best_lower;
     const double remaining = plan.MaxRemainingPenalty(s);
-    for (const std::vector<Tuple>& ts : parts) {
-      for (const Tuple& t : ts) {
-        const NodeRef answer = t.bindings[static_cast<size_t>(dist_step)];
-        const double lower = plan.base_score() - t.penalty - remaining;
-        auto [it, inserted] = best_lower.emplace(answer, lower);
-        if (!inserted && lower > it->second) it->second = lower;
-      }
+    for (const Tuple& t : tuples) {
+      const NodeRef answer = t.bindings[static_cast<size_t>(dist_step)];
+      const double lower = plan.base_score() - t.penalty - remaining;
+      auto [it, inserted] = best_lower.emplace(answer, lower);
+      if (!inserted && lower > it->second) it->second = lower;
     }
     if (best_lower.size() < k) {
       return -std::numeric_limits<double>::infinity();
@@ -517,9 +409,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     Span step_span(trace, "join_step");
     step_span.Annotate("step", static_cast<uint64_t>(s));
     step_span.Annotate("tag", corpus.tags().Name(step.tag));
-    size_t total_in = 0;
-    for (const std::vector<Tuple>& ts : parts) total_in += ts.size();
-    step_span.Annotate("tuples_in", static_cast<uint64_t>(total_in));
+    step_span.Annotate("tuples_in", static_cast<uint64_t>(tuples.size()));
     const uint64_t candidates_before = ctr.candidates_probed;
     const uint64_t pruned_before = ctr.tuples_pruned;
 
@@ -602,282 +492,134 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
       }
     };
 
-    if (!sharded) {
-      const ScanHandle scan = index_->Scan(step.tag);  // Pins the list.
-      std::vector<Tuple> out;
-      if (mode == EvalMode::kHybridBuckets) {
-        // Group by violation mask; within a bucket tuples share their
-        // score and stay in document order, so per-bucket processing
-        // needs no sorting and whole buckets can be skipped against the
-        // bound.
-        Span bucket_span(trace, "bucket_merge");
-        std::map<uint64_t, std::vector<const Tuple*>> buckets;
-        for (const Tuple& t : tuples) buckets[t.mask].push_back(&t);
-        ctr.buckets_peak =
-            std::max<uint64_t>(ctr.buckets_peak, buckets.size());
-        uint64_t buckets_skipped = 0;
-        // Surviving buckets flatten (in mask order, document order
-        // within) into one work list the pool chunks over; the flat
-        // order equals the serial per-bucket iteration order, so the
-        // chunked merge reproduces it exactly.
-        std::vector<const Tuple*> work;
-        work.reserve(tuples.size());
-        for (const auto& [mask, members] : buckets) {
-          const double upper = plan.base_score() - plan.PenaltyOfMask(mask) +
-                               ks_bonus;
-          if (prune && upper < bound) {
-            ctr.tuples_pruned += members.size();
-            ++buckets_skipped;
-            continue;
-          }
-          work.insert(work.end(), members.begin(), members.end());
+    const ScanHandle scan = index_->Scan(step.tag);  // Pins the list.
+    std::vector<Tuple> out;
+    if (mode == EvalMode::kHybridBuckets) {
+      // Group by violation mask; within a bucket tuples share their
+      // score and stay in document order, so per-bucket processing
+      // needs no sorting and whole buckets can be skipped against the
+      // bound.
+      Span bucket_span(trace, "bucket_merge");
+      std::map<uint64_t, std::vector<const Tuple*>> buckets;
+      for (const Tuple& t : tuples) buckets[t.mask].push_back(&t);
+      ctr.buckets_peak =
+          std::max<uint64_t>(ctr.buckets_peak, buckets.size());
+      uint64_t buckets_skipped = 0;
+      // Surviving buckets flatten (in mask order, document order
+      // within) into one work list the pool chunks over; the flat
+      // order equals the serial per-bucket iteration order, so the
+      // chunked merge reproduces it exactly.
+      std::vector<const Tuple*> work;
+      work.reserve(tuples.size());
+      for (const auto& [mask, members] : buckets) {
+        const double upper = plan.base_score() - plan.PenaltyOfMask(mask) +
+                             ks_bonus;
+        if (prune && upper < bound) {
+          ctr.tuples_pruned += members.size();
+          ++buckets_skipped;
+          continue;
         }
-        ChunkedExtend(pool, work.size(), /*grain=*/64, &out, &ctr,
-                      &worker_cpu_ms,
-                      [&](size_t begin, size_t end, std::vector<Tuple>* o,
-                          ExecCounters* c) {
-                        // Most tuples survive a step (match or
-                        // null-bind), so one-output-per-input is the
-                        // right first guess.
-                        o->reserve(o->size() + (end - begin));
-                        for (size_t i = begin; i < end; ++i) {
-                          extend(scan, *work[i], o, c);
-                        }
-                      });
-        bucket_span.Annotate("buckets",
-                             static_cast<uint64_t>(buckets.size()));
-        bucket_span.Annotate("buckets_skipped", buckets_skipped);
-      } else {
-        if (mode == EvalMode::kSsoFlat && prune && tuples.size() > k) {
-          // SSO's tension: to apply the threshold it sorts the flat tuple
-          // list by score, then must restore document order for the next
-          // join. Both sorts are real costs we account for.
-          Span sort_span(trace, "score_sort");
-          sort_span.Annotate("items", static_cast<uint64_t>(tuples.size()));
-          std::sort(tuples.begin(), tuples.end(),
-                    [](const Tuple& a, const Tuple& b) {
-                      return a.penalty < b.penalty;
-                    });
-          ++ctr.score_sorts;
-          ctr.score_sorted_items += tuples.size();
-          std::sort(tuples.begin(), tuples.end(),
-                    [](const Tuple& a, const Tuple& b) {
-                      return a.bindings < b.bindings;
-                    });
-          ++ctr.score_sorts;
-          ctr.score_sorted_items += tuples.size();
-        }
-        ChunkedExtend(pool, tuples.size(), /*grain=*/64, &out, &ctr,
-                      &worker_cpu_ms,
-                      [&](size_t begin, size_t end, std::vector<Tuple>* o,
-                          ExecCounters* c) {
-                        o->reserve(o->size() + (end - begin));
-                        for (size_t i = begin; i < end; ++i) {
-                          extend(scan, tuples[i], o, c);
-                        }
-                      });
+        work.insert(work.end(), members.begin(), members.end());
       }
-      DominancePrune(plan.LiveSteps(s), &out);
-      tuples = std::move(out);
+      ChunkedExtend(pool, work.size(), /*grain=*/64, &out, &ctr,
+                    &worker_cpu_ms,
+                    [&](size_t begin, size_t end, std::vector<Tuple>* o,
+                        ExecCounters* c) {
+                      // Most tuples survive a step (match or
+                      // null-bind), so one-output-per-input is the
+                      // right first guess.
+                      o->reserve(o->size() + (end - begin));
+                      for (size_t i = begin; i < end; ++i) {
+                        extend(scan, *work[i], o, c);
+                      }
+                    });
+      bucket_span.Annotate("buckets",
+                           static_cast<uint64_t>(buckets.size()));
+      bucket_span.Annotate("buckets_skipped", buckets_skipped);
     } else {
-      // Scatter: one task per shard joins its own tuples against its own
-      // scan. The threshold bound above is global (union of all shards),
-      // so every per-tuple keep/prune decision matches the serial run;
-      // per-shard relative order equals the serial list's order
-      // restricted to that shard, which is all DominancePrune's
-      // first-seen tie-breaks ever look at.
-      std::vector<ScanHandle> scans;
-      scans.reserve(nshards);
-      for (size_t p = 0; p < nshards; ++p) {
-        scans.push_back(scan_for(p, step.tag));
+      if (mode == EvalMode::kSsoFlat && prune && tuples.size() > k) {
+        // SSO's tension: to apply the threshold it sorts the flat tuple
+        // list by score, then must restore document order for the next
+        // join. Both sorts are real costs we account for.
+        Span sort_span(trace, "score_sort");
+        sort_span.Annotate("items", static_cast<uint64_t>(tuples.size()));
+        std::sort(tuples.begin(), tuples.end(),
+                  [](const Tuple& a, const Tuple& b) {
+                    return a.penalty < b.penalty;
+                  });
+        ++ctr.score_sorts;
+        ctr.score_sorted_items += tuples.size();
+        std::sort(tuples.begin(), tuples.end(),
+                  [](const Tuple& a, const Tuple& b) {
+                    return a.bindings < b.bindings;
+                  });
+        ++ctr.score_sorts;
+        ctr.score_sorted_items += tuples.size();
       }
-      // The SSO sort is a phase-level event: the serial run sorts once
-      // when the *global* list outgrows k, so the sharded run gates on
-      // the global size and books one sort pair, not one per shard.
-      const bool sso_sort =
-          mode == EvalMode::kSsoFlat && prune && total_in > k;
-      std::vector<size_t> in_sizes(nshards);
-      for (size_t p = 0; p < nshards; ++p) in_sizes[p] = parts[p].size();
-      std::vector<std::vector<Tuple>> outs(nshards);
-      std::vector<ExecCounters> cs(nshards);
-      std::vector<std::vector<uint64_t>> shard_masks(nshards);
-      TaskGroup group(pool);
-      for (size_t p = 0; p < nshards; ++p) {
-        group.Run([&, p] {
-          std::vector<Tuple>& in = parts[p];
-          std::vector<Tuple>* out = &outs[p];
-          ExecCounters* c = &cs[p];
-          if (mode == EvalMode::kHybridBuckets) {
-            // Per-shard buckets: the skip criterion (mask upper bound
-            // vs the global threshold) is a pure function of the mask,
-            // so a bucket is skipped here iff the serial run skips it.
-            std::map<uint64_t, std::vector<const Tuple*>> buckets;
-            for (const Tuple& t : in) buckets[t.mask].push_back(&t);
-            shard_masks[p].reserve(buckets.size());
-            for (const auto& [mask, members] : buckets) {
-              shard_masks[p].push_back(mask);
-              const double upper = plan.base_score() -
-                                   plan.PenaltyOfMask(mask) + ks_bonus;
-              if (prune && upper < bound) {
-                c->tuples_pruned += members.size();
-                continue;
-              }
-              for (const Tuple* t : members) extend(scans[p], *t, out, c);
-            }
-          } else {
-            if (sso_sort) {
-              std::sort(in.begin(), in.end(),
-                        [](const Tuple& a, const Tuple& b) {
-                          return a.penalty < b.penalty;
-                        });
-              std::sort(in.begin(), in.end(),
-                        [](const Tuple& a, const Tuple& b) {
-                          return a.bindings < b.bindings;
-                        });
-            }
-            out->reserve(in.size());
-            for (const Tuple& t : in) extend(scans[p], t, out, c);
-          }
-          DominancePrune(plan.LiveSteps(s), out);
-          parts[p] = std::move(*out);
-        });
-      }
-      group.Wait();
-      worker_cpu_ms += group.WorkerCpuMs();
-      for (size_t p = 0; p < nshards; ++p) {
-        ctr.Add(cs[p]);
-        shard_ctr[p].Add(cs[p]);
-      }
-      if (sso_sort) {
-        ctr.score_sorts += 2;
-        ctr.score_sorted_items += 2 * total_in;
-        for (size_t p = 0; p < nshards; ++p) {
-          shard_ctr[p].score_sorts += 2;
-          shard_ctr[p].score_sorted_items += 2 * in_sizes[p];
-        }
-      }
-      if (mode == EvalMode::kHybridBuckets) {
-        // buckets_peak counts *distinct* masks alive in the step — a
-        // global quantity, so the per-shard mask sets union before the
-        // max (two shards holding the same mask are one bucket's worth
-        // of score-homogeneity, not two).
-        std::set<uint64_t> all_masks;
-        for (size_t p = 0; p < nshards; ++p) {
-          all_masks.insert(shard_masks[p].begin(), shard_masks[p].end());
-          shard_ctr[p].buckets_peak = std::max<uint64_t>(
-              shard_ctr[p].buckets_peak, shard_masks[p].size());
-        }
-        ctr.buckets_peak =
-            std::max<uint64_t>(ctr.buckets_peak, all_masks.size());
-      }
-      MergeNullLive(plan.LiveSteps(s), &parts);
+      ChunkedExtend(pool, tuples.size(), /*grain=*/64, &out, &ctr,
+                    &worker_cpu_ms,
+                    [&](size_t begin, size_t end, std::vector<Tuple>* o,
+                        ExecCounters* c) {
+                      o->reserve(o->size() + (end - begin));
+                      for (size_t i = begin; i < end; ++i) {
+                        extend(scan, tuples[i], o, c);
+                      }
+                    });
     }
+    DominancePrune(plan.LiveSteps(s), &out);
+    tuples = std::move(out);
     store_step(s);
     step_span.Annotate("candidates", ctr.candidates_probed - candidates_before);
     step_span.Annotate("pruned", ctr.tuples_pruned - pruned_before);
-    size_t total_out = 0;
-    for (const std::vector<Tuple>& ts : parts) total_out += ts.size();
-    step_span.Annotate("tuples_out", static_cast<uint64_t>(total_out));
+    step_span.Annotate("tuples_out", static_cast<uint64_t>(tuples.size()));
   }
 
   // --- Finalize: keyword scores, dedup, sort. ---------------------------
   Span finalize_span(trace, "finalize");
-  {
-    size_t total = 0;
-    for (const std::vector<Tuple>& ts : parts) total += ts.size();
-    finalize_span.Annotate("tuples", static_cast<uint64_t>(total));
-  }
-  // Scores one part's tuples, dedups by distinguished node (best score
-  // kept, first-seen on exact ties) and sorts best-first. Shards hold
-  // disjoint documents and answers are document-local, so per-part
-  // finalize needs no cross-part dedup and the part lists merge by rank.
-  auto finalize_part = [&](const std::vector<Tuple>& ts) {
-    std::unordered_map<NodeRef, AnswerScore, NodeRefHash> best;
-    for (const Tuple& t : ts) {
-      AnswerScore score;
-      score.ss = mode == EvalMode::kExact
-                     ? plan.base_score() - exact_penalty
-                     : plan.base_score() - t.penalty;
-      score.ks = 0.0;
-      for (const JoinPlan::ContainsChain& chain : plan.contains_chains()) {
-        auto res_it = contains_results.find(chain.expr.ToString());
-        if (res_it == contains_results.end()) continue;
-        const ContainsResult* result = res_it->second.get();
-        for (int cs : chain.chain_steps) {
-          const NodeRef b = t.bindings[static_cast<size_t>(cs)];
-          if (IsNull(b)) continue;
-          if (result->Satisfies(b)) {
-            score.ks += chain.weight * result->BestScoreWithin(b);
-            break;
-          }
+  finalize_span.Annotate("tuples", static_cast<uint64_t>(tuples.size()));
+  // Dedup by distinguished node (best score kept, first-seen on exact
+  // ties), then sort best-first.
+  std::unordered_map<NodeRef, AnswerScore, NodeRefHash> best;
+  for (const Tuple& t : tuples) {
+    AnswerScore score;
+    score.ss = mode == EvalMode::kExact
+                   ? plan.base_score() - exact_penalty
+                   : plan.base_score() - t.penalty;
+    score.ks = 0.0;
+    for (const JoinPlan::ContainsChain& chain : plan.contains_chains()) {
+      auto res_it = contains_results.find(chain.expr.ToString());
+      if (res_it == contains_results.end()) continue;
+      const ContainsResult* result = res_it->second.get();
+      for (int cs : chain.chain_steps) {
+        const NodeRef b = t.bindings[static_cast<size_t>(cs)];
+        if (IsNull(b)) continue;
+        if (result->Satisfies(b)) {
+          score.ks += chain.weight * result->BestScoreWithin(b);
+          break;
         }
       }
-      const NodeRef answer = t.bindings[static_cast<size_t>(dist_step)];
-      assert(!IsNull(answer) && "distinguished variable must be bound");
-      auto [it, inserted] = best.emplace(answer, score);
-      if (!inserted && RanksBefore(score, it->second, scheme)) {
-        it->second = score;
-      }
     }
-    std::vector<RankedAnswer> part_answers;
-    part_answers.reserve(best.size());
-    for (const auto& [node, score] : best) {
-      part_answers.push_back(RankedAnswer{node, score});
+    const NodeRef answer = t.bindings[static_cast<size_t>(dist_step)];
+    assert(!IsNull(answer) && "distinguished variable must be bound");
+    auto [it, inserted] = best.emplace(answer, score);
+    if (!inserted && RanksBefore(score, it->second, scheme)) {
+      it->second = score;
     }
-    std::sort(part_answers.begin(), part_answers.end(),
-              [&](const RankedAnswer& a, const RankedAnswer& b) {
-                if (RanksBefore(a.score, b.score, scheme)) return true;
-                if (RanksBefore(b.score, a.score, scheme)) return false;
-                return a.node < b.node;  // deterministic tie-break
-              });
-    return part_answers;
-  };
-
+  }
   std::vector<RankedAnswer> answers;
-  if (!sharded) {
-    answers = finalize_part(tuples);
-  } else {
-    // Gather: per-shard finalize, K'-truncate where sound, then the
-    // coordinator's rank merge with score-threshold early termination —
-    // it stops pulling once k answers are out, and everything cut on
-    // either side lands in the discard seam for the property tests.
-    std::vector<std::vector<RankedAnswer>> per_shard(nshards);
-    for (size_t p = 0; p < nshards; ++p) {
-      per_shard[p] = finalize_part(parts[p]);
-    }
-    // K'-truncation is licensed by the certificate's truncation-safety
-    // verdict (FX303); without it every per-shard answer travels whole.
-    const size_t kprime =
-        ShardKPrime(k, /*single_pass=*/use_optionals,
-                    cert != nullptr && cert->truncation_safe.holds);
-    for (size_t p = 0; p < nshards; ++p) {
-      if (per_shard[p].size() > kprime) {
-        if (shard->discarded != nullptr) {
-          shard->discarded->insert(
-              shard->discarded->end(),
-              per_shard[p].begin() + static_cast<long>(kprime),
-              per_shard[p].end());
-        }
-        per_shard[p].resize(kprime);
-      }
-    }
-    ShardMergeStats mstats;
-    mstats.collect_discarded = shard->discarded != nullptr;
-    const size_t cap =
-        kprime == std::numeric_limits<size_t>::max() ? 0 : k;
-    answers = MergeShardAnswers(per_shard, cap, scheme, &mstats);
-    if (shard->discarded != nullptr) {
-      shard->discarded->insert(shard->discarded->end(),
-                               mstats.discarded.begin(),
-                               mstats.discarded.end());
-    }
+  answers.reserve(best.size());
+  for (const auto& [node, score] : best) {
+    answers.push_back(RankedAnswer{node, score});
   }
+  std::sort(answers.begin(), answers.end(),
+            [&](const RankedAnswer& a, const RankedAnswer& b) {
+              if (RanksBefore(a.score, b.score, scheme)) return true;
+              if (RanksBefore(b.score, a.score, scheme)) return false;
+              return a.node < b.node;  // deterministic tie-break
+            });
   finalize_span.Annotate("answers", static_cast<uint64_t>(answers.size()));
   finalize_span.Close();
 
-  if (sharded && shard->per_shard_counters != nullptr) {
-    *shard->per_shard_counters = std::move(shard_ctr);
-  }
   if (counters != nullptr) counters->Add(ctr);
   if (usage != nullptr) {
     ResourceUsage u = UsageFromCounters(ctr);

@@ -1,6 +1,7 @@
 #include "ir/ft_expr.h"
 
 #include <cctype>
+#include <string>
 
 #include "common/string_util.h"
 
@@ -191,15 +192,24 @@ class FtParser {
     return true;
   }
 
+  // Nesting is counted in depth_: one level per `not`, per '(' and per
+  // chained `and`/`or` operand (a chain builds a left-deep tree, one
+  // level per operator, which later tree walks recurse through). An
+  // error ends the whole parse, so error returns leave depth_ as is.
+
   Result<FtExpr> ParseOr() {
     Result<FtExpr> lhs = ParseAnd();
     if (!lhs.ok()) return lhs;
     FtExpr e = std::move(lhs).value();
+    const int base = depth_;
     while (ConsumeKeyword("or")) {
+      if (depth_ == kMaxFtExprDepth) return TooDeep();
+      ++depth_;
       Result<FtExpr> rhs = ParseAnd();
       if (!rhs.ok()) return rhs;
       e = FtExpr::Or(std::move(e), std::move(rhs).value());
     }
+    depth_ = base;
     return e;
   }
 
@@ -207,18 +217,32 @@ class FtParser {
     Result<FtExpr> lhs = ParseUnary();
     if (!lhs.ok()) return lhs;
     FtExpr e = std::move(lhs).value();
+    const int base = depth_;
     while (ConsumeKeyword("and")) {
+      if (depth_ == kMaxFtExprDepth) return TooDeep();
+      ++depth_;
       Result<FtExpr> rhs = ParseUnary();
       if (!rhs.ok()) return rhs;
       e = FtExpr::And(std::move(e), std::move(rhs).value());
     }
+    depth_ = base;
     return e;
+  }
+
+  /// The error for a level that would nest past kMaxFtExprDepth.
+  Status TooDeep() const {
+    return Status::ParseError("FTExp, position " + std::to_string(pos_) +
+                              ": nested deeper than " +
+                              std::to_string(kMaxFtExprDepth) + " levels");
   }
 
   Result<FtExpr> ParseUnary() {
     if (ConsumeKeyword("not")) {
+      if (depth_ == kMaxFtExprDepth) return TooDeep();
+      ++depth_;
       Result<FtExpr> child = ParseUnary();
       if (!child.ok()) return child;
+      --depth_;
       return FtExpr::Not(std::move(child).value());
     }
     if (ConsumeKeyword("near")) {
@@ -226,6 +250,8 @@ class FtParser {
     }
     SkipWs();
     if (pos_ < in_.size() && in_[pos_] == '(') {
+      if (depth_ == kMaxFtExprDepth) return TooDeep();
+      ++depth_;
       ++pos_;
       Result<FtExpr> inner = ParseOr();
       if (!inner.ok()) return inner;
@@ -234,6 +260,7 @@ class FtParser {
         return Status::ParseError("expected ')' in FTExp");
       }
       ++pos_;
+      --depth_;
       return inner;
     }
     if (pos_ < in_.size() && (in_[pos_] == '"' || in_[pos_] == '\'')) {
@@ -345,6 +372,7 @@ class FtParser {
   std::string_view in_;
   TokenizerOptions opts_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< Nesting levels open at the current position.
 };
 
 }  // namespace

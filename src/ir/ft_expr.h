@@ -71,13 +71,21 @@ class FtExpr {
   std::vector<FtExpr> children_;
 };
 
+/// Deepest nesting ParseFtExpr accepts, counting one level per `not`, per
+/// parenthesis and per chained `and`/`or` operand (a chain of n operands
+/// is a tree n-1 levels deep). Far above any hand-written expression,
+/// and far below the depth that would overflow the stack of the parser
+/// or of the recursive walks over the parsed tree.
+inline constexpr int kMaxFtExprDepth = 256;
+
 /// Parses the paper's FTExp syntax:
 ///   expr  := or ; or := and ('or' and)* ; and := unary ('and' unary)*
 ///   unary := 'not' unary | '(' expr ')' | near | quoted | bareword
 ///   near  := 'near' '(' quoted-or-word+ ',' INT ')'
 /// A quoted string with several words is a phrase. Keywords are normalized
 /// with `opts`. Examples: `"XML" and "streaming"`, `not ("gold" or rare)`,
-/// `near("gold" "ring", 4)`.
+/// `near("gold" "ring", 4)`. Nesting deeper than kMaxFtExprDepth is a
+/// ParseError.
 Result<FtExpr> ParseFtExpr(std::string_view input,
                            const TokenizerOptions& opts = {});
 

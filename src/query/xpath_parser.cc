@@ -122,7 +122,14 @@ class XPathParser {
 
   /// expr := term ('and' term)*. 'or' between structural terms is not a
   /// tree pattern and is rejected with a pointer to FTExp disjunction.
+  /// Every '[' and '(' enters here, so this is where nesting is counted.
+  /// An error ends the whole parse, so error returns leave depth_ as is.
   Status ParsePredExpr(VarId context) {
+    if (depth_ == kMaxXPathDepth) {
+      return Err("predicates nested deeper than " +
+                 std::to_string(kMaxXPathDepth) + " levels");
+    }
+    ++depth_;
     FLEXPATH_RETURN_IF_ERROR(ParsePredTerm(context));
     for (;;) {
       SkipWs();
@@ -135,6 +142,7 @@ class XPathParser {
             "disjunction between structural predicates is not supported by "
             "tree patterns; use `or` inside contains(...)");
       }
+      --depth_;
       return Status::OK();
     }
   }
@@ -314,6 +322,7 @@ class XPathParser {
   TokenizerOptions opts_;
   Tpq query_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< Predicate blocks and parentheses currently open.
 };
 
 }  // namespace

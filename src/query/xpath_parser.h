@@ -10,6 +10,12 @@
 
 namespace flexpath {
 
+/// Deepest nesting of predicate blocks and parentheses ParseXPath
+/// accepts: `//a[./b[./c]]` nests two levels. Far above any hand-written
+/// query, and far below the depth that would overflow the stack of the
+/// recursive-descent parser.
+inline constexpr int kMaxXPathDepth = 256;
+
 /// Parses the tree-pattern fragment of XPath used throughout the paper
 /// into a Tpq. Supported:
 ///   - absolute paths with / (parent-child) and // (ancestor-descendant)
@@ -23,6 +29,7 @@ namespace flexpath {
 /// Tag names are interned into `dict`; keywords are normalized with
 /// `opts`. Disjunction between structural predicates is rejected (tree
 /// patterns are conjunctive); use `or` inside contains(...) instead.
+/// Nesting deeper than kMaxXPathDepth is a ParseError.
 Result<Tpq> ParseXPath(std::string_view input, TagDict* dict,
                        const TokenizerOptions& opts = {});
 

@@ -18,20 +18,12 @@ size_t MergedBytes(const std::vector<NodeRef>& list) {
 
 ElementIndex::ElementIndex(const Corpus* corpus,
                            const TypeHierarchy* hierarchy)
-    : ElementIndex(corpus, hierarchy, 0,
-                   static_cast<DocId>(corpus->size())) {}
-
-ElementIndex::ElementIndex(const Corpus* corpus,
-                           const TypeHierarchy* hierarchy, DocId doc_begin,
-                           DocId doc_end)
     : corpus_(corpus),
       hierarchy_(hierarchy),
-      doc_begin_(doc_begin),
-      doc_end_(doc_end),
-      source_generation_(corpus->generation()),
       merged_(kDefaultMergedBudgetBytes) {
   by_tag_.resize(corpus_->tags().size());
-  for (DocId d = doc_begin_; d < doc_end_; ++d) {
+  const DocId num_docs = static_cast<DocId>(corpus_->size());
+  for (DocId d = 0; d < num_docs; ++d) {
     const Document& doc = corpus_->doc(d);
     for (NodeId n = 0; n < doc.size(); ++n) {
       const TagId tag = doc.node(n).tag;
@@ -45,9 +37,6 @@ ElementIndex::ElementIndex(const Corpus* corpus,
                            std::shared_ptr<const ElementTableSource> source)
     : corpus_(corpus),
       hierarchy_(hierarchy),
-      doc_begin_(0),
-      doc_end_(static_cast<DocId>(corpus->size())),
-      source_generation_(corpus->generation()),
       table_source_(std::move(source)),
       merged_(kDefaultMergedBudgetBytes) {}
 

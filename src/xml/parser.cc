@@ -258,6 +258,10 @@ class XmlParser {
 
   Status ParseElement() {
     if (AtEnd() || Peek() != '<') return Err("expected '<'");
+    if (depth_ == kMaxXmlDepth) {
+      return Err("elements nested deeper than " +
+                 std::to_string(kMaxXmlDepth) + " levels");
+    }
     Advance();
     std::string tag;
     FLEXPATH_RETURN_IF_ERROR(ParseName(&tag));
@@ -265,7 +269,10 @@ class XmlParser {
     bool self_closing = false;
     FLEXPATH_RETURN_IF_ERROR(ParseAttributes(&self_closing));
     if (self_closing) return builder_.Close();
-    return ParseContent(tag);
+    ++depth_;
+    Status st = ParseContent(tag);
+    --depth_;
+    return st;
   }
 
   Status ParseContent(const std::string& open_tag) {
@@ -331,6 +338,7 @@ class XmlParser {
   size_t pos_ = 0;
   int line_ = 1;
   int col_ = 1;
+  int depth_ = 0;  ///< Elements open around the current position.
 };
 
 }  // namespace

@@ -6,11 +6,15 @@
 //   2. Parallel runs (threads ∈ {2, 8}) against the serial baseline
 //      (threads = 1) for all three algorithms and all three rank
 //      schemes: answers, scores, penalties and every execution counter
-//      must be identical — parallelism must never change results.
-// Plus a repetition test: the same Hybrid query run 20 times on an
-// 8-thread pool yields byte-identical ranked output every time.
+//      must be identical — parallelism must never change results. Once
+//      on small random corpora, once on a multi-document XMark corpus
+//      large enough that the chunked fan-out really splits its work.
+// Plus packed-file vs in-memory runs, and a repetition test: the same
+// Hybrid query run 20 times on an 8-thread pool yields byte-identical
+// ranked output every time.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -26,11 +30,13 @@
 #include "exec/topk.h"
 #include "ir/engine.h"
 #include "query/tpq.h"
+#include "query/xpath_parser.h"
 #include "relax/penalty.h"
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
 #include "tests/test_util.h"
+#include "xmark/generator.h"
 #include "xml/corpus.h"
 
 namespace flexpath {
@@ -224,76 +230,96 @@ TEST(DifferentialTest, SerialMatchesParallelForAllAlgorithms) {
   }
 }
 
-// 3. Sharded vs unsharded, full cross product: algorithm × rank scheme ×
-// K × shard count × thread count. The scatter-gather path (DESIGN.md
-// §15) promises byte-identity with the serial unsharded run — ranked
-// answers with scores, relaxation metadata, and every execution counter
-// (including the phase-level sort counters and the bucket peak, which
-// the sharded path must reconstruct as global quantities). num_shards=1
-// is deliberately in the matrix: the one-shard partition runs the whole
-// scatter-gather machinery and must still match.
-TEST(DifferentialTest, ShardedMatchesSingleShardForAllAlgorithms) {
+// 3. Serial vs parallel where the parallel path really splits work. The
+// Rig corpora of test 2 stay at or below ChunkRanges' grains (1024 scan
+// entries for the seed step, 64 tuples for a join step), so there every
+// fan-out runs as one inline chunk. Here several XMark documents (one
+// seed each) put more than 1024 `item`s into the first scan, so chunk
+// boundaries fall both inside a document and between two documents.
+// Q1-Q3 x algorithm x rank scheme x K x thread count must fingerprint
+// exactly like the serial run. The test asserts the sizes that make the
+// fan-out split, from the serial run's trace, so it cannot silently
+// stop splitting.
+TEST(DifferentialTest, ChunkedFanOutOverManyDocumentsMatchesSerial) {
+  constexpr const char* kQueries[] = {
+      "//item[./description/parlist]",
+      "//item[./description/parlist and ./mailbox/mail/text]",
+      "//item[./description/parlist/listitem and ./mailbox/mail/text[./bold "
+      "and ./keyword and ./emph] and ./name and ./incategory]",
+  };
   constexpr Algorithm kAlgos[] = {Algorithm::kDpo, Algorithm::kSso,
                                   Algorithm::kHybrid};
   constexpr RankScheme kSchemes[] = {RankScheme::kStructureFirst,
                                      RankScheme::kKeywordFirst,
                                      RankScheme::kCombined};
-  constexpr size_t kShardCounts[] = {1, 2, 3, 8};
-  constexpr size_t kThreadCounts[] = {1, 4};
-  constexpr size_t kKs[] = {1, 3, 10};
+  constexpr size_t kKs[] = {10, 200};
+  constexpr size_t kThreadCounts[] = {2, 4};
+  constexpr size_t kSeedGrain = 1024;  // Seed-scan grain in Evaluate.
+  constexpr size_t kJoinGrain = 64;    // Join-step grain in Evaluate.
 
-  Rng rng(20260808);
-  for (int iter = 0; iter < 30; ++iter) {
-    Rig rig(&rng, 6, 90);
-    TopKProcessor processor(rig.index.get(), rig.stats.get(), rig.ir.get());
-    const Tpq q = testing_util::RandomTpq(&rng, rig.corpus.tags(), 5);
-    const RankScheme scheme = kSchemes[iter % 3];
+  Corpus corpus;
+  for (uint64_t seed : {101, 102, 103}) {
+    XMarkOptions gopts;
+    gopts.target_bytes = 420000;
+    gopts.seed = seed;
+    Result<Document> doc = GenerateXMark(gopts, corpus.tags());
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    corpus.Add(std::move(doc).value());
+  }
+  ElementIndex index(&corpus);
+  DocumentStats stats(&corpus);
+  IrEngine ir(&corpus);
+  TopKProcessor processor(&index, &stats, &ir);
 
+  double max_scan = 0.0;
+  double max_join_in = 0.0;
+  std::function<void(const TraceSpan&)> visit = [&](const TraceSpan& span) {
+    if (span.name == "scan_step") {
+      max_scan = std::max(max_scan, span.NumberOr0("candidates"));
+    } else if (span.name == "join_step") {
+      max_join_in = std::max(max_join_in, span.NumberOr0("tuples_in"));
+    }
+    for (const auto& child : span.children) visit(*child);
+  };
+
+  for (const char* xpath : kQueries) {
+    Result<Tpq> q = ParseXPath(xpath, corpus.tags());
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
     for (Algorithm algo : kAlgos) {
-      for (size_t k : kKs) {
-        TopKOptions opts;
-        opts.k = k;
-        opts.scheme = scheme;
-        opts.num_threads = 1;
-        Result<TopKResult> baseline = processor.Run(q, algo, opts);
-        ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-        const std::string reference = Fingerprint(*baseline);
-
-        for (size_t shards : kShardCounts) {
+      for (RankScheme scheme : kSchemes) {
+        for (size_t k : kKs) {
+          TopKOptions opts;
+          opts.k = k;
+          opts.scheme = scheme;
+          opts.num_threads = 1;
+          opts.collect_trace = true;
+          Result<TopKResult> serial = processor.Run(*q, algo, opts);
+          ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+          ASSERT_NE(serial->trace, nullptr);
+          visit(serial->trace->root);
+          const std::string reference = Fingerprint(*serial);
+          opts.collect_trace = false;
           for (size_t threads : kThreadCounts) {
-            opts.num_shards = shards;
             opts.num_threads = threads;
-            Result<TopKResult> sharded = processor.Run(q, algo, opts);
-            ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-
-            std::string label = std::string("iter ") + std::to_string(iter) +
-                                " " + AlgorithmName(algo) + " " +
-                                SchemeName(scheme) +
-                                " k=" + std::to_string(k) +
-                                " shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads);
-            EXPECT_EQ(Fingerprint(*sharded), reference) << label;
-            // Shard attribution must cover the partition and charge
-            // every final answer to the shard owning its document.
-            ASSERT_EQ(sharded->shards.size(), shards) << label;
-            size_t answers = 0;
-            uint64_t probed = 0;
-            for (const TopKResult::ShardStats& s : sharded->shards) {
-              answers += s.answers;
-              probed += s.candidates_probed;
-            }
-            EXPECT_EQ(answers, sharded->answers.size()) << label;
-            EXPECT_EQ(probed, sharded->counters.candidates_probed) << label;
+            Result<TopKResult> parallel = processor.Run(*q, algo, opts);
+            ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+            EXPECT_EQ(Fingerprint(*parallel), reference)
+                << xpath << " " << AlgorithmName(algo) << " "
+                << SchemeName(scheme) << " k=" << k
+                << " threads=" << threads;
           }
         }
-        opts.num_shards = 0;
       }
     }
   }
+  // The seed scan and at least one join step are large enough for
+  // ChunkRanges to cut them into several chunks.
+  EXPECT_GT(max_scan, static_cast<double>(kSeedGrain));
+  EXPECT_GT(max_join_in, static_cast<double>(kJoinGrain));
 }
 
 // 4. Packed vs in-memory, full cross product: algorithm × rank scheme ×
-// shard count × thread count. One FlexPath instance builds in memory;
+// thread count. One FlexPath instance builds in memory;
 // a second opens the packed file the first saved. The storage engine's
 // contract (DESIGN.md §17) is byte-identity of everything result-shaped
 // — ranked answers with scores, relaxation metadata, and every
@@ -305,7 +331,6 @@ TEST(DifferentialTest, PackedMatchesInMemory) {
   constexpr RankScheme kSchemes[] = {RankScheme::kStructureFirst,
                                      RankScheme::kKeywordFirst,
                                      RankScheme::kCombined};
-  constexpr size_t kShardCounts[] = {1, 2};
   constexpr size_t kThreadCounts[] = {1, 4};
 
   Rng rng(20260809);
@@ -329,19 +354,15 @@ TEST(DifferentialTest, PackedMatchesInMemory) {
       TopKOptions opts;
       opts.k = 10;
       opts.scheme = scheme;
-      for (size_t shards : kShardCounts) {
-        for (size_t threads : kThreadCounts) {
-          opts.num_shards = shards;
-          opts.num_threads = threads;
-          Result<TopKResult> a = mem.QueryTpq(q, opts, algo, "diff");
-          Result<TopKResult> b = packed.QueryTpq(q, opts, algo, "diff");
-          ASSERT_TRUE(a.ok()) << a.status().ToString();
-          ASSERT_TRUE(b.ok()) << b.status().ToString();
-          EXPECT_EQ(Fingerprint(*b), Fingerprint(*a))
-              << "iter " << iter << " " << AlgorithmName(algo) << " "
-              << SchemeName(scheme) << " shards=" << shards
-              << " threads=" << threads;
-        }
+      for (size_t threads : kThreadCounts) {
+        opts.num_threads = threads;
+        Result<TopKResult> a = mem.QueryTpq(q, opts, algo, "diff");
+        Result<TopKResult> b = packed.QueryTpq(q, opts, algo, "diff");
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        ASSERT_TRUE(b.ok()) << b.status().ToString();
+        EXPECT_EQ(Fingerprint(*b), Fingerprint(*a))
+            << "iter " << iter << " " << AlgorithmName(algo) << " "
+            << SchemeName(scheme) << " threads=" << threads;
       }
     }
   }

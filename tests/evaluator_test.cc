@@ -13,6 +13,7 @@
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
 #include "tests/test_util.h"
+#include "xml/type_hierarchy.h"
 
 namespace flexpath {
 namespace {
@@ -278,6 +279,55 @@ TEST(EvaluatorEdgeTest, LargeKExhaustsSpaceWithoutError) {
   TopKResult result = rig.Run(q, 1000);
   // All three a's eventually qualify (leaf deletion), k exceeds them.
   EXPECT_EQ(result.answers.size(), 3u);
+}
+
+// With a type hierarchy, a supertype's scan is a merged list held in the
+// index's LRU cache behind reference-counted ScanHandles. Every handle a
+// run takes — on the calling thread, in chunk workers, in speculative
+// DPO rounds — must be released when the run returns, at any thread
+// count.
+TEST(EvaluatorEdgeTest, SupertypeScanPinsReturnToZeroAfterRuns) {
+  Rng rng(7701);
+  Corpus corpus;
+  for (int i = 0; i < 6; ++i) {
+    corpus.Add(testing_util::RandomDocument(&rng, corpus.tags(), 60));
+  }
+  TypeHierarchy hierarchy;
+  // Subtype edges over the random-document alphabet, so scans of the
+  // supertypes a and d go through the merged-scan path.
+  ASSERT_TRUE(hierarchy
+                  .AddSubtype(corpus.tags()->Intern("a"),
+                              corpus.tags()->Intern("b"))
+                  .ok());
+  ASSERT_TRUE(hierarchy
+                  .AddSubtype(corpus.tags()->Intern("d"),
+                              corpus.tags()->Intern("e"))
+                  .ok());
+  ElementIndex index(&corpus, &hierarchy);
+  DocumentStats stats(&corpus);
+  IrEngine ir(&corpus);
+  TopKProcessor processor(&index, &stats, &ir);
+
+  constexpr Algorithm kAlgos[] = {Algorithm::kDpo, Algorithm::kSso,
+                                  Algorithm::kHybrid};
+  constexpr size_t kThreadCounts[] = {1, 4};
+  for (int qi = 0; qi < 12; ++qi) {
+    const Tpq q = testing_util::RandomTpq(&rng, corpus.tags(), 4);
+    for (Algorithm algo : kAlgos) {
+      for (size_t threads : kThreadCounts) {
+        TopKOptions opts;
+        opts.k = 5;
+        opts.num_threads = threads;
+        Result<TopKResult> result = processor.Run(q, algo, opts);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(index.OutstandingPins(), 0u)
+            << "q" << qi << " " << AlgorithmName(algo)
+            << " threads=" << threads;
+      }
+    }
+  }
+  // The queries did go through merged supertype scans.
+  EXPECT_GT(index.GetMergedCacheStats().misses, 0u);
 }
 
 }  // namespace

@@ -2,15 +2,17 @@
 // never crash the parsers — they either parse or return a ParseError —
 // and the thread-pool primitives must survive adversarial usage
 // (concurrent submitters, tasks spawning tasks, teardown under load,
-// exceptions, empty fan-outs). Plus shard-boundary fuzzing: random
-// partition cut points must never change a query's answer digest, and
-// storage fuzzing: the packed-corpus codec round-trips adversarial key
-// sequences, and a StorageReader fed corrupted pages returns a Status
-// (or correct data) — never a crash.
+// exceptions, empty fan-outs). Plus storage fuzzing: the packed-corpus
+// codec round-trips adversarial key sequences, and a StorageReader fed
+// corrupted pages returns a Status (or correct data) — never a crash.
+// And deep nesting: the XML, XPath and FTExp parsers turn inputs nested
+// past their depth limits into a ParseError instead of overflowing the
+// stack.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -22,15 +24,9 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "exec/topk.h"
-#include "ir/engine.h"
+#include "core/flexpath.h"
 #include "ir/ft_expr.h"
 #include "query/xpath_parser.h"
-#include "rank/score.h"
-#include "shard/partition.h"
-#include "shard/sharded_corpus.h"
-#include "stats/document_stats.h"
-#include "stats/element_index.h"
 #include "storage/codec.h"
 #include "storage/reader.h"
 #include "storage/writer.h"
@@ -155,18 +151,20 @@ TEST(ThreadPoolFuzzTest, TasksSubmittingTasks) {
   constexpr int kRoots = 100;
   constexpr int kChain = 5;
   {
+    // Recursive lambdas need an explicit holder. It is declared before
+    // the pool so it outlives the pool's destructor, which drains every
+    // task; tasks refer to it rather than own it, so nothing forms a
+    // reference cycle that would leak it.
+    std::function<void(int)> spawn;
     ThreadPool pool(3);
-    // Recursive lambdas need an explicit holder; keep it alive until the
-    // pool (destroyed first, draining all tasks) is gone.
-    auto spawn = std::make_shared<std::function<void(int)>>();
-    *spawn = [&pool, &ran, spawn](int remaining) {
+    spawn = [&pool, &ran, &spawn](int remaining) {
       ran.fetch_add(1);
       if (remaining > 0) {
-        pool.Submit([spawn, remaining] { (*spawn)(remaining - 1); });
+        pool.Submit([&spawn, remaining] { spawn(remaining - 1); });
       }
     };
     for (int i = 0; i < kRoots; ++i) {
-      pool.Submit([spawn] { (*spawn)(kChain - 1); });
+      pool.Submit([&spawn] { spawn(kChain - 1); });
     }
   }
   EXPECT_EQ(ran.load(), uint64_t{kRoots * kChain});
@@ -229,52 +227,6 @@ TEST(ThreadPoolFuzzTest, ParallelForZeroTasksAndEdgeChunks) {
         std::all_of(hits.begin(), hits.end(),
                     [](const std::atomic<uint32_t>& h) { return h == 1; });
     EXPECT_TRUE(all_once) << "n=" << n << " grain=" << grain;
-  }
-}
-
-// --- Shard boundaries ------------------------------------------------------
-
-// Shard-boundary fuzzing: answers must be invariant under *any*
-// placement of shard cut points — random counts, duplicates, cuts at 0
-// or past the corpus end, empty shards anywhere. Each partition's run
-// must digest identically to the unsharded run of the same query.
-TEST(FuzzTest, ShardBoundariesNeverChangeAnswers) {
-  Rng rng(1006);
-  Corpus corpus;
-  for (int i = 0; i < 7; ++i) {
-    corpus.Add(testing_util::RandomDocument(&rng, corpus.tags(), 60));
-  }
-  ElementIndex index(&corpus);
-  DocumentStats stats(&corpus);
-  IrEngine ir(&corpus);
-  TopKProcessor processor(&index, &stats, &ir);
-  constexpr Algorithm kAlgos[] = {Algorithm::kDpo, Algorithm::kSso,
-                                  Algorithm::kHybrid};
-
-  for (int iter = 0; iter < 60; ++iter) {
-    const Tpq q = testing_util::RandomTpq(&rng, corpus.tags(), 4);
-    const Algorithm algo = kAlgos[iter % 3];
-    TopKOptions opts;
-    opts.k = 1 + rng.Uniform(8);
-    opts.num_threads = 1 + rng.Uniform(4);
-    Result<TopKResult> baseline =
-        processor.RunWithShards(q, algo, opts, nullptr);
-    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-    const uint64_t reference = AnswersDigest(baseline->answers);
-
-    // Random cut points, deliberately unclamped: duplicates and values
-    // past the corpus end are PartitionAtCuts's job to tolerate.
-    std::vector<DocId> cuts(rng.Uniform(6));
-    for (DocId& c : cuts) {
-      c = static_cast<DocId>(rng.Uniform(corpus.size() + 3));
-    }
-    ShardedCorpus sharded(&corpus, nullptr,
-                          PartitionAtCuts(corpus.size(), cuts));
-    Result<TopKResult> result =
-        processor.RunWithShards(q, algo, opts, &sharded);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(AnswersDigest(result->answers), reference)
-        << "iter " << iter << " shards=" << sharded.num_shards();
   }
 }
 
@@ -428,6 +380,196 @@ TEST(FuzzTest, FtExprParserSurvivesRandomInput) {
       EXPECT_TRUE(*e == *again) << e->ToString();
     }
   }
+}
+
+// --- Deep nesting ----------------------------------------------------------
+
+// The three recursive-descent parsers bound their nesting depth (XML
+// elements, XPath predicate blocks and parentheses, FTExp parentheses
+// and `not`s): up to the limit an input parses, one level past it — or
+// 100,000 levels past it — is a ParseError naming the limit, never a
+// stack overflow. The generators mix the constructs that nest.
+
+// Elements nested exactly `depth` levels, with random tags, attributes,
+// text, comments and self-closing children.
+std::string DeepXml(Rng* rng, int depth) {
+  static const char* kTags[] = {"a", "b", "item", "x-y"};
+  std::string open;
+  std::vector<std::string> close;
+  for (int i = 0; i < depth; ++i) {
+    const std::string tag = kTags[rng->Uniform(4)];
+    open += "<" + tag;
+    if (rng->Bernoulli(0.3)) open += " id=\"v" + std::to_string(i) + "\"";
+    open += ">";
+    if (rng->Bernoulli(0.3)) open += "text &amp; more ";
+    // A self-closing child one level down, beside the next level.
+    if (i + 1 < depth && rng->Bernoulli(0.2)) open += "<!-- c --><leaf/>";
+    close.push_back("</" + tag + ">");
+  }
+  for (size_t i = close.size(); i-- > 0;) open += close[i];
+  return open;
+}
+
+// A query whose predicate blocks and parentheses nest exactly `depth`
+// levels: `[./t` opens one level, `[(./t` two, and sibling terms joined
+// by `and` add none.
+std::string DeepXPath(Rng* rng, int depth) {
+  std::string q = "//a";
+  std::string close;
+  for (int level = 0; level < depth;) {
+    const char* axis = rng->Bernoulli(0.5) ? "./" : ".//";
+    const std::string sibling =
+        rng->Bernoulli(0.3) ? std::string("./s and ") : std::string();
+    if (depth - level >= 2 && rng->Bernoulli(0.3)) {
+      q += "[(" + sibling + axis + "t";
+      close = ")]" + close;
+      level += 2;
+    } else {
+      q += "[" + sibling + axis + "t";
+      close = "]" + close;
+      level += 1;
+    }
+  }
+  return q + close;
+}
+
+// An expression nested exactly `depth` levels: each `not`, each '(' and
+// each chained `and`/`or` operand is one level. Precedence decides which
+// construct may follow which: after `not` only another `not` or '('
+// nests (`not a and b` is `(not a) and b`), and an `or` operand after
+// an `and` operand would end the `and` chain.
+std::string DeepFtExpr(Rng* rng, int depth) {
+  enum Kind { kNone, kNot, kParen, kOr, kAnd };
+  std::string e;
+  std::string close;
+  Kind prev = kNone;
+  for (int level = 0; level < depth; ++level) {
+    std::vector<Kind> allowed = {kNot, kParen};
+    if (prev != kNot) allowed.push_back(kAnd);
+    if (prev == kNone || prev == kParen || prev == kOr) allowed.push_back(kOr);
+    prev = allowed[rng->Uniform(allowed.size())];
+    switch (prev) {
+      case kNot:
+        e += "not ";
+        break;
+      case kParen:
+        e += "(";
+        close = ")" + close;
+        break;
+      case kOr:
+        e += "\"w\" or ";
+        break;
+      default:
+        e += "w and ";
+        break;
+    }
+  }
+  return e + "\"x\"" + close;
+}
+
+// Depths to try: a few at or below the limit (which must parse) and a
+// few above it (which must fail), including the largest.
+std::vector<int> DepthsAround(Rng* rng, int limit) {
+  std::vector<int> depths = {1, limit, limit + 1, 100000};
+  for (int i = 0; i < 4; ++i) {
+    depths.push_back(1 + static_cast<int>(rng->Uniform(limit)));
+    depths.push_back(limit + 1 + static_cast<int>(rng->Uniform(1000)));
+  }
+  return depths;
+}
+
+void ExpectDepthError(const Status& st, int limit, const std::string& label) {
+  EXPECT_EQ(st.code(), StatusCode::kParseError) << label;
+  EXPECT_NE(st.message().find(std::to_string(limit)), std::string::npos)
+      << label << ": " << st.ToString();
+}
+
+TEST(FuzzTest, XmlParserBoundsNestingDepth) {
+  Rng rng(1008);
+  for (int depth : DepthsAround(&rng, kMaxXmlDepth)) {
+    TagDict dict;
+    Result<Document> doc = ParseXml(DeepXml(&rng, depth), &dict);
+    const std::string label = "depth " + std::to_string(depth);
+    if (depth <= kMaxXmlDepth) {
+      ASSERT_TRUE(doc.ok()) << label << ": " << doc.status().ToString();
+      EXPECT_GE(doc->size(), static_cast<size_t>(depth)) << label;
+    } else {
+      ASSERT_FALSE(doc.ok()) << label;
+      ExpectDepthError(doc.status(), kMaxXmlDepth, label);
+      // The position points into the input, at the first element too deep.
+      EXPECT_NE(doc.status().message().find("line 1, col "),
+                std::string::npos)
+          << doc.status().ToString();
+    }
+  }
+}
+
+TEST(FuzzTest, XPathParserBoundsNestingDepth) {
+  Rng rng(1009);
+  for (int depth : DepthsAround(&rng, kMaxXPathDepth)) {
+    TagDict dict;
+    Result<Tpq> q = ParseXPath(DeepXPath(&rng, depth), &dict);
+    const std::string label = "depth " + std::to_string(depth);
+    if (depth <= kMaxXPathDepth) {
+      ASSERT_TRUE(q.ok()) << label << ": " << q.status().ToString();
+      EXPECT_TRUE(q->Validate().ok()) << label;
+    } else {
+      ASSERT_FALSE(q.ok()) << label;
+      ExpectDepthError(q.status(), kMaxXPathDepth, label);
+      EXPECT_NE(q.status().message().find("position "), std::string::npos)
+          << q.status().ToString();
+    }
+  }
+}
+
+TEST(FuzzTest, FtExprParserBoundsNestingDepth) {
+  Rng rng(1010);
+  for (int depth : DepthsAround(&rng, kMaxFtExprDepth)) {
+    Result<FtExpr> e = ParseFtExpr(DeepFtExpr(&rng, depth));
+    const std::string label = "depth " + std::to_string(depth);
+    if (depth <= kMaxFtExprDepth) {
+      ASSERT_TRUE(e.ok()) << label << ": " << e.status().ToString();
+    } else {
+      ASSERT_FALSE(e.ok()) << label;
+      ExpectDepthError(e.status(), kMaxFtExprDepth, label);
+      EXPECT_NE(e.status().message().find("position "), std::string::npos)
+          << e.status().ToString();
+    }
+  }
+}
+
+// The same limits through the facade, on the 100,000-deep inputs that
+// used to overflow the stack: nested <a> elements, a `[./b` chain, and
+// parentheses or a flat `and` chain inside contains().
+TEST(FuzzTest, FacadeRejectsHundredThousandDeepInputs) {
+  constexpr int kDeep = 100000;
+  FlexPath fp;
+  std::string xml;
+  for (int i = 0; i < kDeep; ++i) xml += "<a>";
+  for (int i = 0; i < kDeep; ++i) xml += "</a>";
+  Result<DocId> doc = fp.AddDocumentXml(xml);
+  ASSERT_FALSE(doc.ok());
+  ExpectDepthError(doc.status(), kMaxXmlDepth, "xml");
+
+  std::string chain = "//a";
+  for (int i = 0; i < kDeep; ++i) chain += "[./b";
+  chain += std::string(kDeep, ']');
+  Result<Tpq> q = fp.Parse(chain);
+  ASSERT_FALSE(q.ok());
+  ExpectDepthError(q.status(), kMaxXPathDepth, "xpath");
+
+  const std::string parens = "//a[.contains(" + std::string(kDeep, '(') +
+                             "\"x\"" + std::string(kDeep, ')') + ")]";
+  q = fp.Parse(parens);
+  ASSERT_FALSE(q.ok());
+  ExpectDepthError(q.status(), kMaxFtExprDepth, "ftexpr parens");
+
+  std::string and_chain = "//a[.contains(\"x\"";
+  for (int i = 0; i < kDeep; ++i) and_chain += " and \"x\"";
+  and_chain += ")]";
+  q = fp.Parse(and_chain);
+  ASSERT_FALSE(q.ok());
+  ExpectDepthError(q.status(), kMaxFtExprDepth, "ftexpr and-chain");
 }
 
 }  // namespace
