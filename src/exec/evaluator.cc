@@ -521,6 +521,12 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
         }
         work.insert(work.end(), members.begin(), members.end());
       }
+      // The span covers grouping and bucket skipping only; the extend
+      // below is join work and counts as the enclosing join_step's.
+      bucket_span.Annotate("buckets",
+                           static_cast<uint64_t>(buckets.size()));
+      bucket_span.Annotate("buckets_skipped", buckets_skipped);
+      bucket_span.Close();
       ChunkedExtend(pool, work.size(), /*grain=*/64, &out, &ctr,
                     &worker_cpu_ms,
                     [&](size_t begin, size_t end, std::vector<Tuple>* o,
@@ -533,9 +539,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
                         extend(scan, *work[i], o, c);
                       }
                     });
-      bucket_span.Annotate("buckets",
-                           static_cast<uint64_t>(buckets.size()));
-      bucket_span.Annotate("buckets_skipped", buckets_skipped);
     } else {
       if (mode == EvalMode::kSsoFlat && prune && tuples.size() > k) {
         // SSO's tension: to apply the threshold it sorts the flat tuple

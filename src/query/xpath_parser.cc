@@ -103,6 +103,10 @@ class XPathParser {
   Status ParseStep(VarId* out, VarId parent, Axis axis) {
     std::string name;
     FLEXPATH_RETURN_IF_ERROR(ParseName(&name));
+    if (query_.size() == kMaxTpqNodes) {
+      return Err("query has more than " + std::to_string(kMaxTpqNodes) +
+                 " steps");
+    }
     TagId tag = name == "*" ? kInvalidTag : dict_->Intern(name);
     VarId var = parent == kInvalidVar
                     ? query_.AddRoot(tag)

@@ -1,6 +1,7 @@
 #ifndef FLEXPATH_QUERY_XPATH_PARSER_H_
 #define FLEXPATH_QUERY_XPATH_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/status.h"
@@ -16,6 +17,13 @@ namespace flexpath {
 /// recursive-descent parser.
 inline constexpr int kMaxXPathDepth = 256;
 
+/// Most tree-pattern nodes (element steps, in the main path and inside
+/// predicates) ParseXPath accepts. The join plan's violation mask has 64
+/// bits, and closure and schedule work grow steeply with query size (a
+/// 24-step chain already costs seconds), so a larger query is refused at
+/// parse time before any of that work starts.
+inline constexpr size_t kMaxTpqNodes = 64;
+
 /// Parses the tree-pattern fragment of XPath used throughout the paper
 /// into a Tpq. Supported:
 ///   - absolute paths with / (parent-child) and // (ancestor-descendant)
@@ -29,7 +37,8 @@ inline constexpr int kMaxXPathDepth = 256;
 /// Tag names are interned into `dict`; keywords are normalized with
 /// `opts`. Disjunction between structural predicates is rejected (tree
 /// patterns are conjunctive); use `or` inside contains(...) instead.
-/// Nesting deeper than kMaxXPathDepth is a ParseError.
+/// Nesting deeper than kMaxXPathDepth, or more than kMaxTpqNodes steps,
+/// is a ParseError.
 Result<Tpq> ParseXPath(std::string_view input, TagDict* dict,
                        const TokenizerOptions& opts = {});
 

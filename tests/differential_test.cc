@@ -366,6 +366,10 @@ TEST(DifferentialTest, PackedMatchesInMemory) {
       }
     }
   }
+  // The packed runs read through the buffer pools: both the element
+  // lists and the postings were decoded from the file at least once.
+  EXPECT_GT(packed.packed_reader()->GetElemPoolStats().misses, 0u);
+  EXPECT_GT(packed.packed_reader()->GetPostPoolStats().misses, 0u);
   std::remove(path.c_str());
 }
 

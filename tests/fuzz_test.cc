@@ -411,24 +411,28 @@ std::string DeepXml(Rng* rng, int depth) {
 }
 
 // A query whose predicate blocks and parentheses nest exactly `depth`
-// levels: `[./t` opens one level, `[(./t` two, and sibling terms joined
-// by `and` add none.
+// levels: `[./t` opens one level, each '(' right after the '[' one
+// more, and sibling terms joined by `and` add none. The 16th block takes
+// every remaining level as parentheses, so at any depth the query has at
+// most 33 steps, below kMaxTpqNodes.
 std::string DeepXPath(Rng* rng, int depth) {
+  constexpr int kMaxBlocks = 16;
   std::string q = "//a";
   std::string close;
+  int blocks = 0;
   for (int level = 0; level < depth;) {
     const char* axis = rng->Bernoulli(0.5) ? "./" : ".//";
     const std::string sibling =
         rng->Bernoulli(0.3) ? std::string("./s and ") : std::string();
-    if (depth - level >= 2 && rng->Bernoulli(0.3)) {
-      q += "[(" + sibling + axis + "t";
-      close = ")]" + close;
-      level += 2;
-    } else {
-      q += "[" + sibling + axis + "t";
-      close = "]" + close;
-      level += 1;
+    int parens = 0;
+    if (++blocks == kMaxBlocks) {
+      parens = depth - level - 1;
+    } else if (depth - level >= 2 && rng->Bernoulli(0.3)) {
+      parens = 1;
     }
+    q += "[" + std::string(parens, '(') + sibling + axis + "t";
+    close = std::string(parens, ')') + "]" + close;
+    level += 1 + parens;
   }
   return q + close;
 }
@@ -538,9 +542,19 @@ TEST(FuzzTest, FtExprParserBoundsNestingDepth) {
   }
 }
 
+// A flat `//a/b/b/...` chain of exactly `steps` steps.
+std::string FlatChain(int steps) {
+  std::string q = "//a";
+  for (int i = 1; i < steps; ++i) q += "/b";
+  return q;
+}
+
 // The same limits through the facade, on the 100,000-deep inputs that
-// used to overflow the stack: nested <a> elements, a `[./b` chain, and
-// parentheses or a flat `and` chain inside contains().
+// used to overflow the stack: nested <a> elements, a `[./b` chain,
+// parentheses inside a predicate, and parentheses or a flat `and` chain
+// inside contains(). The `[./b` chain adds one step per level, so it
+// meets the step limit before the nesting limit. A flat 100,000-step
+// chain nests nothing and is refused by the step limit alone.
 TEST(FuzzTest, FacadeRejectsHundredThousandDeepInputs) {
   constexpr int kDeep = 100000;
   FlexPath fp;
@@ -556,7 +570,31 @@ TEST(FuzzTest, FacadeRejectsHundredThousandDeepInputs) {
   chain += std::string(kDeep, ']');
   Result<Tpq> q = fp.Parse(chain);
   ASSERT_FALSE(q.ok());
-  ExpectDepthError(q.status(), kMaxXPathDepth, "xpath");
+  const int limit = static_cast<int>(kMaxTpqNodes);
+  ExpectDepthError(q.status(), limit, "xpath");
+
+  const std::string pred_parens = "//a[" + std::string(kDeep, '(') +
+                                  "./b" + std::string(kDeep, ')') + "]";
+  q = fp.Parse(pred_parens);
+  ASSERT_FALSE(q.ok());
+  ExpectDepthError(q.status(), kMaxXPathDepth, "xpath parens");
+
+  for (int steps : {limit, limit + 1, kDeep}) {
+    const std::string label = "flat chain of " + std::to_string(steps);
+    q = fp.Parse(FlatChain(steps));
+    if (steps <= limit) {
+      ASSERT_TRUE(q.ok()) << label << ": " << q.status().ToString();
+      EXPECT_EQ(q->size(), kMaxTpqNodes) << label;
+    } else {
+      ASSERT_FALSE(q.ok()) << label;
+      ExpectDepthError(q.status(), limit, label);
+      // The position is just past the first step over the limit.
+      const size_t pos = FlatChain(limit).size() + 2;
+      EXPECT_NE(q.status().message().find("position " + std::to_string(pos)),
+                std::string::npos)
+          << q.status().ToString();
+    }
+  }
 
   const std::string parens = "//a[.contains(" + std::string(kDeep, '(') +
                              "\"x\"" + std::string(kDeep, ')') + ")]";

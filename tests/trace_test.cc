@@ -1,7 +1,10 @@
 #include "common/trace.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -390,6 +393,55 @@ TEST_F(DpoTraceTest, RootSpanCarriesResourceUsageAnnotations) {
   EXPECT_GT(result->usage.tuples_scanned, 0u);
   EXPECT_GT(result->usage.bytes_touched, 0u);
   EXPECT_EQ(result->usage.rounds_executed, result->counters.plan_passes);
+}
+
+/// Hybrid's per-step bucket grouping traces as a `bucket_merge` span
+/// inside its `join_step`. The span closes before the extend that
+/// follows it, so its annotations must be set before that point.
+class HybridTraceTest : public DpoTraceTest {};
+
+void CollectNamed(const TraceSpan& span, std::string_view name,
+                  std::vector<const TraceSpan*>* out) {
+  for (const auto& child : span.children) {
+    if (child->name == name) out->push_back(child.get());
+    CollectNamed(*child, name, out);
+  }
+}
+
+bool HasAnnotation(const TraceSpan& span, std::string_view key) {
+  for (const TraceAnnotation& a : span.annotations) {
+    if (a.key == key && a.is_number) return true;
+  }
+  return false;
+}
+
+TEST_F(HybridTraceTest, BucketMergeSpansCarryBucketAnnotations) {
+  Result<Tpq> q = ParseXPath(
+      "//article[./section[./algorithm and ./paragraph[.contains(\"XML\" "
+      "and \"streaming\")]]]",
+      corpus_->tags());
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  TopKOptions opts;
+  opts.k = 5;
+  opts.collect_trace = true;
+  Result<TopKResult> result = processor_->Run(*q, Algorithm::kHybrid, opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_NE(result->trace, nullptr);
+
+  std::vector<const TraceSpan*> merges;
+  CollectNamed(result->trace->root, "bucket_merge", &merges);
+  ASSERT_FALSE(merges.empty());
+  double peak = 0.0;
+  for (const TraceSpan* merge : merges) {
+    EXPECT_TRUE(HasAnnotation(*merge, "buckets"));
+    EXPECT_TRUE(HasAnnotation(*merge, "buckets_skipped"));
+    EXPECT_GT(merge->NumberOr0("buckets"), 0.0);
+    EXPECT_LE(merge->NumberOr0("buckets_skipped"),
+              merge->NumberOr0("buckets"));
+    peak = std::max(peak, merge->NumberOr0("buckets"));
+  }
+  // The largest bucket count any step saw is the run's buckets_peak.
+  EXPECT_EQ(peak, static_cast<double>(result->counters.buckets_peak));
 }
 
 TEST_F(DpoTraceTest, TraceIsNullUnlessRequested) {
