@@ -6,14 +6,14 @@
 //
 // Each record of the JSON-lines log (written by flexpath_cli --query-log,
 // or any FlexPath instance with SetQueryLog) is re-run with the options
-// it was captured with — algorithm, K, ranking scheme, thread count,
-// result cache on/off — and its answers are digested and compared
-// against the captured AnswersDigest. Against the same corpus (e.g. the
-// deterministic --xmark generator with its fixed seed) every digest must
-// match: the engine's answers are byte-identical across runs, thread
-// counts and cache settings, so a mismatch means the corpus differs or a
-// change broke answer reproducibility. A log's "shared" cache tier (a
-// tier since removed) replays with the cache on.
+// it was captured with — algorithm, K, ranking scheme, thread count —
+// and its answers are digested and compared against the captured
+// AnswersDigest. Against the same corpus (e.g. the deterministic --xmark
+// generator with its fixed seed) every digest must match: the engine's
+// answers are byte-identical across runs and thread counts, so a
+// mismatch means the corpus differs or a change broke answer
+// reproducibility. Keys the engine no longer reads (such as the
+// "cache_tier" of older logs) are ignored.
 //
 // The report (text on stdout; JSON with --out) gives per-workload counts
 // and latency percentiles: captured p50/p99 vs replayed p50/p99.
@@ -69,17 +69,6 @@ bool ParseScheme(const std::string& name, flexpath::RankScheme* out) {
     *out = flexpath::RankScheme::kKeywordFirst;
   } else if (name == "combined") {
     *out = flexpath::RankScheme::kCombined;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool ParseTier(const std::string& name, bool* result_cache) {
-  if (name == "off") {
-    *result_cache = false;
-  } else if (name == "run" || name == "shared") {
-    *result_cache = true;
   } else {
     return false;
   }
@@ -224,7 +213,6 @@ int main(int argc, char** argv) {
     // rather than failing: the digest check still validates the answers.
     ParseAlgorithm(r.algorithm, &algo);
     ParseScheme(r.scheme, &opts.scheme);
-    ParseTier(r.cache_tier, &opts.result_cache);
     const auto start = std::chrono::steady_clock::now();
     flexpath::Result<flexpath::TopKResult> result =
         fp.QueryTpq(*q, opts, algo, r.query);

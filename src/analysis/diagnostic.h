@@ -38,12 +38,11 @@ inline constexpr std::string_view kDiagEmptyTag = "FX101";
 inline constexpr std::string_view kDiagEmptyContains = "FX102";
 inline constexpr std::string_view kDiagDeadEdge = "FX103";
 inline constexpr std::string_view kDiagRedundantPredicate = "FX201";
-// Scheme certification (src/analysis/score_algebra.h). FX301, FX302 and
-// FX304 are refutations of the three certified properties, one per
-// optimization they gate; FX305 is a malformed algebra.
+// Scheme certification (src/analysis/score_algebra.h). FX301 and FX302
+// are refutations of the two certified properties, one per optimization
+// they gate; FX305 is a malformed algebra.
 inline constexpr std::string_view kDiagSchemeNotMonotone = "FX301";
 inline constexpr std::string_view kDiagSchemeNotOrderInvariant = "FX302";
-inline constexpr std::string_view kDiagSchemeNotCacheExact = "FX304";
 inline constexpr std::string_view kDiagSchemeMalformed = "FX305";
 
 /// One static-analysis finding.

@@ -3,7 +3,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <string_view>
 
 namespace flexpath {
 
@@ -26,16 +25,6 @@ inline uint64_t HashCombine(uint64_t h, uint64_t v) {
 /// doubles hash equal iff they are bitwise equal).
 inline uint64_t HashCombine(uint64_t h, double v) {
   return HashCombine(h, std::bit_cast<uint64_t>(v));
-}
-
-/// Folds a byte string in via FNV-1a.
-inline uint64_t HashCombine(uint64_t h, std::string_view s) {
-  uint64_t f = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    f ^= c;
-    f *= 0x100000001b3ULL;
-  }
-  return HashCombine(h, f);
 }
 
 }  // namespace flexpath

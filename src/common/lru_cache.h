@@ -16,7 +16,7 @@ namespace flexpath {
 /// invalidate a handed-out result.
 ///
 /// Not thread-safe: callers that share an instance across threads guard
-/// it with their own mutex (see ResultCache, ElementIndex, IrEngine).
+/// it with their own mutex (see ElementIndex, IrEngine).
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class LruByteCache {
  public:

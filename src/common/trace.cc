@@ -1,6 +1,5 @@
 #include "common/trace.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -61,21 +60,8 @@ std::string FormatUs(double ms) {
   return buf;
 }
 
-void SpanToChromeEvents(const TraceSpan& span, int pid, int tid,
-                        bool* first, std::string* out,
-                        std::vector<int>* tids_seen) {
-  // A wave-worker round span carries its worker index; the whole subtree
-  // it assembled ran on that worker, so the tid is inherited downward.
-  for (const TraceAnnotation& a : span.annotations) {
-    if (a.is_number && a.key == "worker") {
-      tid = static_cast<int>(a.number) + 2;
-      break;
-    }
-  }
-  if (std::find(tids_seen->begin(), tids_seen->end(), tid) ==
-      tids_seen->end()) {
-    tids_seen->push_back(tid);
-  }
+void SpanToChromeEvents(const TraceSpan& span, int pid, bool* first,
+                        std::string* out) {
   if (!*first) *out += ',';
   *first = false;
   *out += "{\"ph\":\"X\",\"ts\":";
@@ -84,9 +70,7 @@ void SpanToChromeEvents(const TraceSpan& span, int pid, int tid,
   *out += FormatUs(span.elapsed_ms);
   *out += ",\"pid\":";
   *out += std::to_string(pid);
-  *out += ",\"tid\":";
-  *out += std::to_string(tid);
-  *out += ",\"name\":\"";
+  *out += ",\"tid\":1,\"name\":\"";
   *out += JsonEscape(span.name);
   *out += "\",\"args\":{";
   for (size_t i = 0; i < span.annotations.size(); ++i) {
@@ -105,7 +89,7 @@ void SpanToChromeEvents(const TraceSpan& span, int pid, int tid,
   }
   *out += "}}";
   for (const std::unique_ptr<TraceSpan>& child : span.children) {
-    SpanToChromeEvents(*child, pid, tid, first, out, tids_seen);
+    SpanToChromeEvents(*child, pid, first, out);
   }
 }
 
@@ -180,13 +164,6 @@ const TraceSpan* TraceSpan::Find(std::string_view span_name) const {
   return nullptr;
 }
 
-void TraceSpan::ShiftBy(double offset_ms) {
-  start_ms += offset_ms;
-  for (const std::unique_ptr<TraceSpan>& child : children) {
-    child->ShiftBy(offset_ms);
-  }
-}
-
 TraceCollector::TraceCollector(std::string root_name)
     : start_(std::chrono::steady_clock::now()) {
   trace_.root.name = std::move(root_name);
@@ -198,11 +175,6 @@ double TraceCollector::NowMs() const {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start_)
       .count();
-}
-
-void TraceCollector::Adopt(TraceSpan&& span) {
-  stack_.back()->children.push_back(
-      std::make_unique<TraceSpan>(std::move(span)));
 }
 
 TraceSpan* TraceCollector::OpenSpan(std::string_view name) {
@@ -244,23 +216,14 @@ std::string TraceToText(const QueryTrace& trace) {
 std::string TraceToChromeJson(const QueryTrace& trace, int pid) {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  std::vector<int> tids_seen;
-  SpanToChromeEvents(trace.root, pid, /*tid=*/1, &first, &out, &tids_seen);
-  // Label each lane so Perfetto shows "coordinator"/"worker N" instead of
-  // bare tids. Metadata events are timeless; emitting them after the
-  // slice events is valid.
-  std::sort(tids_seen.begin(), tids_seen.end());
-  for (int tid : tids_seen) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ph\":\"M\",\"ts\":0,\"pid\":";
-    out += std::to_string(pid);
-    out += ",\"tid\":";
-    out += std::to_string(tid);
-    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    out += tid == 1 ? "coordinator" : "worker " + std::to_string(tid - 2);
-    out += "\"}}";
-  }
+  SpanToChromeEvents(trace.root, pid, &first, &out);
+  // Label the lane so Perfetto shows "coordinator" instead of a bare tid.
+  // Metadata events are timeless; emitting one after the slice events is
+  // valid.
+  out += ",{\"ph\":\"M\",\"ts\":0,\"pid\":";
+  out += std::to_string(pid);
+  out += ",\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":"
+         "\"coordinator\"}}";
   out += "],\"displayTimeUnit\":\"ms\"}";
   return out;
 }

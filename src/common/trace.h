@@ -45,12 +45,6 @@ struct TraceSpan {
   /// First descendant (depth-first, self excluded) with the given name;
   /// nullptr when none.
   const TraceSpan* Find(std::string_view span_name) const;
-
-  /// Adds `offset_ms` to this span's start time and, recursively, to
-  /// every descendant's. Used when grafting a worker-local trace (whose
-  /// clock started at task launch) into a parent trace: shifting by the
-  /// parent's launch-time offset puts both on one timeline.
-  void ShiftBy(double offset_ms);
 };
 
 /// A finished per-query execution trace: the root span covers the whole
@@ -62,10 +56,8 @@ struct QueryTrace {
 
 /// Assembles a QueryTrace from nested Span lifetimes. Confined to one
 /// thread by design: spans must close in LIFO order, which the Span RAII
-/// type guarantees. Parallel pipeline stages do NOT share a collector —
-/// each worker task assembles its own (fork), and the coordinating thread
-/// grafts the finished subtrees into the parent collector with Adopt()
-/// after joining, in a deterministic order (join). See DESIGN.md §10.
+/// type guarantees. Pool workers never open spans; a parallel join step
+/// is one span on the coordinating thread (DESIGN.md §10).
 class TraceCollector {
  public:
   /// Starts the clock and opens the root span.
@@ -81,20 +73,14 @@ class TraceCollector {
   /// The innermost open span (the root before any child opens).
   TraceSpan* current() { return stack_.back(); }
 
-  /// Milliseconds since the collector started.
-  double NowMs() const;
-
-  /// Grafts a finished span tree (typically a worker collector's
-  /// Finish()ed root, ShiftBy()-adjusted by the caller) under the
-  /// innermost open span. The adopted tree is taken as-is — it is never
-  /// on the open-span stack.
-  void Adopt(TraceSpan&& span);
-
   // Used by Span; not part of the public surface.
   TraceSpan* OpenSpan(std::string_view name);
   void CloseSpan(TraceSpan* span);
 
  private:
+  /// Milliseconds since the collector started.
+  double NowMs() const;
+
   QueryTrace trace_;
   std::vector<TraceSpan*> stack_;
   std::chrono::steady_clock::time_point start_;
@@ -156,10 +142,8 @@ std::string TraceToText(const QueryTrace& trace);
 ///    "displayTimeUnit":"ms"}
 /// Every span becomes one complete ("X") event with ts/dur in
 /// microseconds; annotations become its args (numbers stay numeric).
-/// Spans carrying a numeric "worker" annotation — the wave-worker rounds
-/// — map to tid worker+2 (and pass the tid to their subtree), everything
-/// else to tid 1, so per-worker attribution survives into the timeline;
-/// "M"-phase thread_name metadata labels each lane.
+/// Every span was opened on the coordinating thread, so all events share
+/// tid 1, which "M"-phase thread_name metadata labels "coordinator".
 std::string TraceToChromeJson(const QueryTrace& trace, int pid = 1);
 
 }  // namespace flexpath

@@ -242,7 +242,6 @@ Result<TopKResult> FlexPath::QueryTpq(const Tpq& q, const TopKOptions& opts,
     record.scheme = RankSchemeName(opts.scheme);
     record.k = opts.k;
     record.threads = opts.num_threads;
-    record.cache_tier = opts.result_cache ? "run" : "off";
     record.latency_ms = MsSince(wall_start);
     record.answers = result->answers.size();
     record.relaxations = result->relaxations_used;

@@ -212,8 +212,7 @@ class FlexPath {
   /// query: this instance's IR contains-result cache, its merged-scan
   /// cache, and — for a packed corpus — the storage buffer pools
   /// (element tables and posting lists; null otherwise). Fields are null
-  /// before Build()/OpenPacked(). The DPO result cache lives and dies
-  /// inside one run; its work shows in the cache_step_* ExecCounters.
+  /// before Build()/OpenPacked().
   std::string CacheStatsJson() const;
 
   /// Phase-by-phase trace of the last Build() call (element index,

@@ -21,8 +21,6 @@ constexpr NodeRef kNullRef{UINT32_MAX, UINT32_MAX};
 
 bool IsNull(NodeRef ref) { return ref == kNullRef; }
 
-// The pipeline's tuple type lives in exec/result_cache.h so cached step
-// results can share it; NodeRefHash comes from xml/corpus.h.
 using Tuple = ExecTuple;
 
 /// Exact dominance pruning: tuples that agree on every live binding have
@@ -130,8 +128,6 @@ ResourceUsage UsageFromCounters(const ExecCounters& c) {
   // not byte-exactness.
   u.bytes_touched =
       c.candidates_probed * sizeof(Element) + c.tuples_created * 64;
-  u.cache_hits = c.cache_step_hits;
-  u.cache_misses = c.cache_step_misses;
   u.rounds_executed = c.plan_passes;
   u.rounds_pruned = c.rounds_pruned_static;
   return u;
@@ -164,18 +160,13 @@ void ExecCounters::Add(const ExecCounters& other) {
 std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     const JoinPlan& plan, EvalMode mode, size_t k, RankScheme scheme,
     double exact_penalty, ExecCounters* counters, TraceCollector* trace,
-    ThreadPool* pool, const EvalCacheContext* cache, ResourceUsage* usage) {
+    ThreadPool* pool, ResourceUsage* usage) {
   // Work is tallied locally, then folded into the caller's counters and
   // the global registry — so per-call deltas are exact even when the
   // caller accumulates across plan passes.
   ExecCounters ctr;
   ++ctr.plan_passes;
   double worker_cpu_ms = 0.0;
-
-  // Only kExact outputs are cacheable: a pruned step's output depends on
-  // k and on the plan suffix's remaining penalty, which no key holds.
-  assert(mode == EvalMode::kExact || cache == nullptr);
-  if (mode != EvalMode::kExact) cache = nullptr;
 
   const Corpus& corpus = index_->corpus();
   const std::vector<PlanStep>& steps = plan.steps();
@@ -216,27 +207,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   const int dist_step = plan.distinguished_step();
 
   std::vector<Tuple> tuples;
-
-  // --- Sub-plan result cache (DESIGN.md §12). ---------------------------
-  const bool cache_on = cache != nullptr;
-  // Incremental DPO: drop tuples for already-answered nodes.
-  const bool excluding = cache_on && cache->exclude != nullptr &&
-                         !cache->exclude->empty();
-  auto step_key = [&](size_t s) {
-    return StepCacheKey(plan.step_fingerprint(s), cache->corpus_generation);
-  };
-  // Removes tuples whose distinguished binding is in the exclusion set.
-  auto drop_excluded = [&](std::vector<Tuple>* ts, ExecCounters* c) {
-    const size_t before = ts->size();
-    ts->erase(
-        std::remove_if(ts->begin(), ts->end(),
-                       [&](const Tuple& t) {
-                         return cache->exclude->count(t.bindings[static_cast<
-                                    size_t>(dist_step)]) != 0;
-                       }),
-        ts->end());
-    c->tuples_excluded += before - ts->size();
-  };
 
   // Evaluates one predicate against a (partial) tuple extended by `cand`
   // at step `s`. Null operands fail the predicate.
@@ -288,42 +258,8 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     return true;
   };
 
-  // --- Cache probe: resume from the deepest cached plan prefix. ---------
-  size_t start_step = 0;  ///< First step that still has to execute.
-  if (cache_on) {
-    Span lookup_span(trace, "cache_lookup");
-    for (size_t s = steps.size(); s-- > 0;) {
-      std::shared_ptr<const CachedStepResult> entry =
-          cache->cache->Get(step_key(s));
-      if (entry == nullptr) continue;
-      // Entries are shared-const; copy so the pipeline can mutate.
-      tuples = entry->tuples;
-      if (excluding && s >= static_cast<size_t>(dist_step)) {
-        // The entry was filtered against an older, smaller exclusion set
-        // (the set only grows within a run), or none; re-filtering
-        // against the current set lands on exactly the tuple set an
-        // uncached pass would produce.
-        drop_excluded(&tuples, &ctr);
-      }
-      ctr.cache_step_hits += s + 1;
-      start_step = s + 1;
-      lookup_span.Annotate("prefix_steps", static_cast<uint64_t>(s + 1));
-      lookup_span.Annotate("tuples", static_cast<uint64_t>(tuples.size()));
-      break;
-    }
-  }
-  // Stores the tuple set alive after computing step `s`.
-  auto store_step = [&](size_t s) {
-    if (!cache_on) return;
-    ++ctr.cache_step_misses;
-    auto entry = std::make_shared<CachedStepResult>();
-    entry->tuples = tuples;
-    entry->bytes = CachedStepResult::ApproxBytes(entry->tuples);
-    cache->cache->Put(step_key(s), std::move(entry));
-  };
-
   // --- Step 0: seed tuples from the first scan list. -------------------
-  if (start_step == 0) {
+  {
     const PlanStep& step0 = steps[0];
     Span scan_span(trace, "scan_step");
     scan_span.Annotate("step", uint64_t{0});
@@ -351,11 +287,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
           t.penalty += pp.penalty;
         }
         if (!ok) continue;
-        if (excluding && dist_step == 0 &&
-            cache->exclude->count(ref) != 0) {
-          ++c->tuples_excluded;
-          continue;
-        }
         ++c->tuples_created;
         out->push_back(std::move(t));
       }
@@ -366,8 +297,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
                   [&](size_t begin, size_t end, std::vector<Tuple>* out,
                       ExecCounters* c) { seed(scan0, begin, end, out, c); });
     DominancePrune(plan.LiveSteps(0), &tuples);
-        store_step(0);
-    start_step = 1;
     scan_span.Annotate("candidates", ctr.candidates_probed);
     scan_span.Annotate("tuples_out", static_cast<uint64_t>(tuples.size()));
   }
@@ -403,7 +332,7 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   };
 
   // --- Subsequent steps. ------------------------------------------------
-  for (size_t s = start_step; s < steps.size(); ++s) {
+  for (size_t s = 1; s < steps.size(); ++s) {
     const PlanStep& step = steps[s];
 
     Span step_span(trace, "join_step");
@@ -456,15 +385,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
           if (!ok) continue;
           matched = true;
           next.bindings.push_back(*it);
-          // Incremental DPO: the node this tuple answers for is already
-          // in the result — everything downstream of it is wasted work.
-          // (`matched` is already set, so the nullable fallback cannot
-          // resurrect the tuple.)
-          if (excluding && s == static_cast<size_t>(dist_step) &&
-              cache->exclude->count(*it) != 0) {
-            ++c->tuples_excluded;
-            continue;
-          }
           if (prune &&
               plan.base_score() - next.penalty + ks_bonus < bound) {
             ++c->tuples_pruned;
@@ -571,7 +491,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
     }
     DominancePrune(plan.LiveSteps(s), &out);
     tuples = std::move(out);
-    store_step(s);
     step_span.Annotate("candidates", ctr.candidates_probed - candidates_before);
     step_span.Annotate("pruned", ctr.tuples_pruned - pruned_before);
     step_span.Annotate("tuples_out", static_cast<uint64_t>(tuples.size()));
@@ -639,9 +558,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   static Counter* m_sorts = reg.counter("exec.score_sorts");
   static Counter* m_sorted = reg.counter("exec.score_sorted_items");
   static Gauge* m_buckets = reg.gauge("exec.buckets_peak");
-  static Counter* m_cache_hits = reg.counter("exec.cache_step_hits");
-  static Counter* m_cache_misses = reg.counter("exec.cache_step_misses");
-  static Counter* m_excluded = reg.counter("exec.tuples_excluded");
   m_passes->Inc(ctr.plan_passes);
   m_probed->Inc(ctr.candidates_probed);
   m_created->Inc(ctr.tuples_created);
@@ -649,9 +565,6 @@ std::vector<RankedAnswer> PlanEvaluator::Evaluate(
   m_sorts->Inc(ctr.score_sorts);
   m_sorted->Inc(ctr.score_sorted_items);
   m_buckets->Max(static_cast<int64_t>(ctr.buckets_peak));
-  m_cache_hits->Inc(ctr.cache_step_hits);
-  m_cache_misses->Inc(ctr.cache_step_misses);
-  m_excluded->Inc(ctr.tuples_excluded);
   return answers;
 }
 

@@ -45,14 +45,6 @@ void AnnotateCounters(Span* span, const ExecCounters& delta) {
   });
 }
 
-/// Same, for a raw span — the worker-collector path, where the round
-/// span is a collector root rather than a Span RAII handle.
-void AnnotateCounters(TraceSpan* span, const ExecCounters& delta) {
-  delta.ForEach([&](const char* name, uint64_t value) {
-    span->Annotate(std::string("counters.") + name, value);
-  });
-}
-
 /// Attaches a resource-usage breakdown as "usage.<field>" annotations —
 /// what the stage consumed, next to the counters saying what it did.
 void AnnotateUsage(Span* span, const ResourceUsage& usage) {
@@ -61,36 +53,6 @@ void AnnotateUsage(Span* span, const ResourceUsage& usage) {
     span->Annotate(std::string("usage.") + name, value);
   });
 }
-
-void AnnotateUsage(TraceSpan* span, const ResourceUsage& usage) {
-  usage.ForEach([&](const char* name, double value) {
-    span->Annotate(std::string("usage.") + name, value);
-  });
-}
-
-/// One DPO round evaluated speculatively by a wave worker. Everything a
-/// round produces is buffered here; the merge decides — in round order —
-/// whether to accept it into the result or discard it wholesale
-/// (speculation past the serial stopping point contributes nothing, not
-/// even counters).
-struct RoundOutput {
-  Status status;  ///< Plan-build failure, if any.
-  std::vector<RankedAnswer> answers;
-  ExecCounters counters;
-  /// The round's full resource bill: counter-derived work plus every
-  /// thread-CPU millisecond it burned — the evaluating thread's own and
-  /// any nested pool fan-out's.
-  ResourceUsage usage;
-  /// The share of usage.cpu_ms spent on threads *other than* the one
-  /// that called eval_round. The caller needs the split to avoid double
-  /// counting: an inline round's own CPU is already inside the
-  /// coordinator's timer, a wave-worker round's is not.
-  double off_thread_cpu_ms = 0.0;
-  TraceSpan span;         ///< The round's finished span subtree.
-  bool has_span = false;  ///< Set on the worker-collector path only.
-  bool pruned = false;    ///< Skipped: static analysis proved it empty.
-  std::string prune_reason;
-};
 
 }  // namespace
 
@@ -210,7 +172,9 @@ Result<TopKResult> TopKProcessor::Run(const Tpq& q, Algorithm algo,
                      static_cast<uint64_t>(result->relaxations_used));
       root->Annotate("answers",
                      static_cast<uint64_t>(result->answers.size()));
-      AnnotateUsage(root, result->usage);
+      result->usage.ForEach([root](const char* name, double value) {
+        root->Annotate(std::string("usage.") + name, value);
+      });
       if (result->budget_exhausted) {
         root->Annotate("budget_exhausted", uint64_t{1});
       }
@@ -290,12 +254,6 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
     return opts.max_cpu_ms > 0.0 &&
            algo_cpu.ElapsedMs() + off_thread_cpu_ms >= opts.max_cpu_ms;
   };
-  auto trip_budget = [&] {
-    result.budget_exhausted = true;
-    FlightRecorder::Global().Record(
-        FlightEventType::kBudgetTrip, result.counters.tuples_created,
-        opts.max_tuples, algo_cpu.ElapsedMs() + off_thread_cpu_ms);
-  };
 
   Span schedule_span(trace, "build_schedule");
   const std::vector<ScheduleEntry> schedule = BuildSchedule(q, pm);
@@ -326,111 +284,80 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
     return round == 0 ? 0.0 : schedule[round - 1].cumulative_penalty;
   };
 
-  // Result cache (DESIGN.md §12). It lives for this call; consecutive
-  // rounds differ by one dropped predicate, so round i+1's plan shares a
-  // fingerprint-identical prefix with round i and resumes from it. The
-  // merged answer set is pushed into each round's evaluation as an
-  // exclusion set — safe to read from wave workers because merges (the
-  // only writes) happen strictly after the wave's Wait().
-  std::optional<ResultCache> run_cache;
-  EvalCacheContext cache_ctx;
-  const EvalCacheContext* cache = nullptr;
-  // Cache exactness is a certified property (FX304): a scheme whose
-  // ranking is not provably a pure function of (ss, ks) may not reuse
-  // kExact entries, so it runs uncached rather than approximately.
-  if (opts.result_cache && cert.cache_exact.holds) {
-    run_cache.emplace();
-    cache_ctx.cache = &*run_cache;
-    cache_ctx.corpus_generation = index_->corpus().generation();
-    cache_ctx.exclude = &seen;
-    cache = &cache_ctx;
-  }
-
-  // Annotates a round span (RAII or collector-root) with the round's
-  // identity — shared by the serial and worker paths so both produce the
-  // same span, in the same annotation order.
-  auto annotate_round = [&](auto* span, size_t round) {
-    span->Annotate("round", static_cast<uint64_t>(round));
-    span->Annotate("penalty", round_penalty(round));
-    if (round > 0) {
-      const ScheduleEntry& entry = schedule[round - 1];
-      span->Annotate("op", entry.op.ToString());
-      span->Annotate("step_penalty", entry.step_penalty);
-      std::vector<std::string> dropped;
-      dropped.reserve(entry.dropped.size());
-      for (const Predicate& p : entry.dropped) {
-        dropped.push_back(p.ToString(&index_->corpus().tags()));
-      }
-      span->Annotate("dropped", Join(dropped, ", "));
-    }
-  };
-
   AnalyzerContext actx;
   actx.index = index_;
   actx.stats = stats_;
   actx.ir = ir_;
   actx.dict = &index_->corpus().tags();
 
-  // Builds and evaluates one round's plan. `evpool` parallelizes within
-  // the plan — non-null only when the round itself runs on the calling
-  // thread (a worker-side nested fan-out would run inline anyway).
-  // With static_prune, a round the corpus statistics prove empty is
-  // answered without a plan: the proof is sound, so the round's output
-  // (no answers) is exactly what evaluation would have produced, and
-  // the merge bookkeeping below still runs for it — the result differs
-  // from the unpruned run only in work counters.
-  auto eval_round = [&](size_t round, TraceCollector* rc, ThreadPool* evpool,
-                        RoundOutput* out) {
-    // Everything this round costs, starting now: the evaluating thread's
-    // CPU comes from this timer; nested pool fan-outs report theirs
-    // through the usage out-param below.
-    const ThreadCpuTimer round_cpu;
-    const Tpq& relaxed = round == 0 ? q : schedule[round - 1].relaxed;
-    if (opts.static_prune) {
-      if (std::optional<std::string> reason =
-              ProvablyEmptyReason(relaxed, actx)) {
-        out->pruned = true;
-        out->prune_reason = *std::move(reason);
-        out->counters.rounds_pruned_static = 1;
-        FlightRecorder::Global().Record(FlightEventType::kRoundSkip, round,
-                                        0, round_penalty(round));
-        out->usage = UsageFromCounters(out->counters);
-        out->usage.cpu_ms = round_cpu.ElapsedMs();
-        return;
+  // One relaxation round per iteration (Section 5.1): evaluate, merge,
+  // and relax further only while a stopping rule has not fired. Within a
+  // round the evaluator fans each join step out over tuple chunks on
+  // `pool`, so answers and counters are the same at any thread count.
+  for (size_t round = 0; round <= schedule.size(); ++round) {
+    if (cert.stop_rule == DpoStopRule::kPenaltyMargin &&
+        base - round_penalty(round) < stop_below) {
+      break;
+    }
+    // Round 0 evaluates the unrelaxed query; every later span is one
+    // relaxation round proper, so a DPO trace carries exactly
+    // `relaxations_used` spans named "relaxation_round".
+    Span round_span(trace, round == 0 ? "initial_round" : "relaxation_round");
+    round_span.Annotate("round", static_cast<uint64_t>(round));
+    round_span.Annotate("penalty", round_penalty(round));
+    if (round > 0) {
+      const ScheduleEntry& entry = schedule[round - 1];
+      round_span.Annotate("op", entry.op.ToString());
+      round_span.Annotate("step_penalty", entry.step_penalty);
+      std::vector<std::string> dropped;
+      dropped.reserve(entry.dropped.size());
+      for (const Predicate& p : entry.dropped) {
+        dropped.push_back(p.ToString(&index_->corpus().tags()));
       }
+      round_span.Annotate("dropped", Join(dropped, ", "));
     }
-    FlightRecorder::Global().Record(FlightEventType::kRoundStart, round, 0,
-                                    round_penalty(round));
-    Span build_span(rc, "plan_build");
-    Result<JoinPlan> plan = JoinPlan::Build(q, relaxed, {}, pm, opts.weights);
-    build_span.Close();
-    if (!plan.ok()) {
-      out->status = plan.status();
-      out->usage.cpu_ms = round_cpu.ElapsedMs();
-      return;
+    const ThreadCpuTimer round_cpu;
+    ExecCounters round_counters;
+    ResourceUsage round_usage;
+    std::vector<RankedAnswer> answers;
+    const Tpq& relaxed = round == 0 ? q : schedule[round - 1].relaxed;
+    // With static_prune, a round the corpus statistics prove empty is
+    // answered without a plan: the proof is sound, so the round's output
+    // (no answers) is exactly what evaluation would have produced, and
+    // the bookkeeping below still runs for it — the result differs from
+    // the unpruned run only in work counters.
+    std::optional<std::string> prune_reason;
+    if (opts.static_prune) prune_reason = ProvablyEmptyReason(relaxed, actx);
+    if (prune_reason.has_value()) {
+      ++result.rounds_pruned;
+      round_counters.rounds_pruned_static = 1;
+      round_usage = UsageFromCounters(round_counters);
+      round_span.Annotate("static_pruned", *prune_reason);
+      FlightRecorder::Global().Record(FlightEventType::kRoundSkip, round, 0,
+                                      round_penalty(round));
+    } else {
+      FlightRecorder::Global().Record(FlightEventType::kRoundStart, round, 0,
+                                      round_penalty(round));
+      Span build_span(trace, "plan_build");
+      Result<JoinPlan> plan =
+          JoinPlan::Build(q, relaxed, {}, pm, opts.weights);
+      build_span.Close();
+      if (!plan.ok()) return plan.status();
+      answers = evaluator_.Evaluate(*plan, EvalMode::kExact, opts.k,
+                                    opts.scheme, round_penalty(round),
+                                    &round_counters, trace, pool,
+                                    &round_usage);
     }
-    out->answers = evaluator_.Evaluate(*plan, EvalMode::kExact, opts.k,
-                                       opts.scheme, round_penalty(round),
-                                       &out->counters, rc, evpool, cache,
-                                       &out->usage);
+    result.counters.Add(round_counters);
     // Evaluate's usage.cpu_ms holds only its pool-worker time; adding the
-    // timer completes the round's bill while the split stays recoverable.
-    out->off_thread_cpu_ms = out->usage.cpu_ms;
-    out->usage.cpu_ms += round_cpu.ElapsedMs();
-  };
-
-  // Merges one evaluated round into the result, replaying the serial
-  // loop's bookkeeping. Returns true when the run is complete (a
-  // stopping rule fired); later speculative rounds are then discarded.
-  auto merge_round = [&](size_t round, RoundOutput&& out,
-                         Span* inline_span) -> bool {
-    if (out.pruned) ++result.rounds_pruned;
-    result.counters.Add(out.counters);
+    // timer completes the round's bill.
+    off_thread_cpu_ms += round_usage.cpu_ms;
+    round_usage.cpu_ms += round_cpu.ElapsedMs();
     // DPO appends: later rounds never outrank earlier ones
     // (structure-first), so no resorting — answers seen before keep
     // their earlier (higher) score.
     size_t new_answers = 0;
-    for (RankedAnswer& a : out.answers) {
+    for (RankedAnswer& a : answers) {
       if (seen.insert(a.node).second) {
         result.answers.push_back(std::move(a));
         ++new_answers;
@@ -441,132 +368,25 @@ Result<TopKResult> TopKProcessor::RunDpo(const Tpq& q,
       result.penalty_applied = round_penalty(round);
       result.predicates_dropped = schedule[round - 1].dropped.size();
     }
-    if (inline_span != nullptr) {
-      inline_span->Annotate("new_answers",
-                            static_cast<uint64_t>(new_answers));
-      inline_span->Annotate("answers_so_far",
-                            static_cast<uint64_t>(result.answers.size()));
-    } else if (out.has_span) {
-      out.span.Annotate("new_answers", static_cast<uint64_t>(new_answers));
-      out.span.Annotate("answers_so_far",
+    AnnotateCounters(&round_span, round_counters);
+    AnnotateUsage(&round_span, round_usage);
+    round_span.Annotate("new_answers", static_cast<uint64_t>(new_answers));
+    round_span.Annotate("answers_so_far",
                         static_cast<uint64_t>(result.answers.size()));
-      trace->Adopt(std::move(out.span));
-    }
     const bool have_k = result.answers.size() >= opts.k;
-    if (cert.stop_rule == DpoStopRule::kAtK && have_k) return true;
+    if (cert.stop_rule == DpoStopRule::kAtK && have_k) break;
     if (cert.stop_rule == DpoStopRule::kPenaltyMargin && have_k &&
         stop_below == -std::numeric_limits<double>::infinity()) {
       stop_below = base - round_penalty(round) - cert.stop_margin_factor * m;
     }
     // kExhaustive (e.g. keyword-first): run every round.
-    return false;
-  };
-
-  // Rounds run in waves of speculative evaluations: sizes 1, 2, 4, ...
-  // capped at the pool size, so the common case (round 0 already yields
-  // K answers) wastes nothing, while relaxation-heavy queries quickly
-  // saturate the pool. A wave of one runs inline on this thread with
-  // within-plan parallelism; larger waves put one whole round per
-  // worker. The merge replays rounds strictly in round order, so output
-  // and counters match the serial loop exactly at any thread count.
-  size_t next_round = 0;
-  size_t wave = 1;
-  bool done = false;
-  while (!done && next_round <= schedule.size()) {
-    const size_t wave_n =
-        std::min(wave, schedule.size() + 1 - next_round);
-    if (wave_n == 1 || pool == nullptr) {
-      const size_t round = next_round;
-      if (cert.stop_rule == DpoStopRule::kPenaltyMargin &&
-          base - round_penalty(round) < stop_below) {
-        break;
-      }
-      // Round 0 evaluates the unrelaxed query; every later span is one
-      // relaxation round proper, so a DPO trace carries exactly
-      // `relaxations_used` spans named "relaxation_round".
-      Span round_span(trace,
-                      round == 0 ? "initial_round" : "relaxation_round");
-      annotate_round(&round_span, round);
-      RoundOutput out;
-      eval_round(round, trace, pool, &out);
-      if (!out.status.ok()) return out.status;
-      if (out.pruned) round_span.Annotate("static_pruned", out.prune_reason);
-      AnnotateCounters(&round_span, out.counters);
-      AnnotateUsage(&round_span, out.usage);
-      off_thread_cpu_ms += out.off_thread_cpu_ms;
-      done = merge_round(round, std::move(out), &round_span);
-      if (!done && budgeted && budget_spent()) {
-        trip_budget();
-        done = true;
-      }
-      ++next_round;
-    } else {
-      // Spawn the wave. Each worker assembles its round's span subtree in
-      // its own collector (root = the round span); the merge grafts
-      // accepted subtrees into the parent trace in round order, shifted
-      // onto the parent timeline by the wave's launch offset.
-      const double offset = trace != nullptr ? trace->NowMs() : 0.0;
-      std::vector<RoundOutput> outs(wave_n);
-      TaskGroup group(pool);
-      for (size_t i = 0; i < wave_n; ++i) {
-        const size_t round = next_round + i;
-        group.Run([&, round, i] {
-          RoundOutput* out = &outs[i];
-          std::optional<TraceCollector> wc;
-          if (trace != nullptr) {
-            wc.emplace(round == 0 ? "initial_round" : "relaxation_round");
-            annotate_round(wc->current(), round);
-            wc->current()->Annotate(
-                "worker",
-                static_cast<uint64_t>(ThreadPool::CurrentWorkerId()));
-          }
-          eval_round(round, wc.has_value() ? &*wc : nullptr, nullptr, out);
-          if (wc.has_value()) {
-            if (out->pruned) {
-              wc->current()->Annotate("static_pruned", out->prune_reason);
-            }
-            AnnotateCounters(wc->current(), out->counters);
-            AnnotateUsage(wc->current(), out->usage);
-            QueryTrace t = wc->Finish();
-            t.root.ShiftBy(offset);
-            out->span = std::move(t.root);
-            out->has_span = true;
-          }
-        });
-      }
-      group.Wait();
-      // Every wave round ran off the coordinating thread, so its whole
-      // bill — merged or discarded — is off-thread CPU the query burned.
-      for (size_t i = 0; i < wave_n; ++i) {
-        off_thread_cpu_ms += outs[i].usage.cpu_ms;
-      }
-      size_t merged = 0;
-      for (size_t i = 0; i < wave_n && !done; ++i) {
-        const size_t round = next_round + i;
-        if (cert.stop_rule == DpoStopRule::kPenaltyMargin &&
-            base - round_penalty(round) < stop_below) {
-          done = true;
-          break;
-        }
-        if (!outs[i].status.ok()) return outs[i].status;
-        done = merge_round(round, std::move(outs[i]), nullptr);
-        merged = i + 1;
-        if (!done && budgeted && budget_spent()) {
-          trip_budget();
-          done = true;
-        }
-      }
-      // Speculation past the stopping point: the rounds ran, their CPU is
-      // billed above, but nothing of theirs enters the result.
-      if (done) {
-        for (size_t i = merged; i < wave_n; ++i) {
-          FlightRecorder::Global().Record(FlightEventType::kRoundDiscard,
-                                          next_round + i);
-        }
-      }
-      next_round += wave_n;
+    if (budgeted && budget_spent()) {
+      result.budget_exhausted = true;
+      FlightRecorder::Global().Record(
+          FlightEventType::kBudgetTrip, result.counters.tuples_created,
+          opts.max_tuples, algo_cpu.ElapsedMs() + off_thread_cpu_ms);
+      break;
     }
-    if (pool != nullptr) wave = std::min(wave * 2, pool->size());
   }
 
   SortByScheme(&result.answers, opts.scheme);
@@ -658,9 +478,6 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
   };
   skip_provably_empty();
 
-  // No result cache here (DESIGN.md §12): a threshold-pruned step's
-  // output depends on the plan suffix's remaining penalty and on k, so
-  // encoded passes run uncached whatever opts.result_cache says.
   bool prune = true;
   for (;;) {
     const Tpq& relaxed = encoded == 0 ? q : schedule[encoded - 1].relaxed;
@@ -692,7 +509,7 @@ Result<TopKResult> TopKProcessor::RunEncoded(const Tpq& q,
     // step out over tuple chunks on the pool.
     result.answers = evaluator_.Evaluate(*plan, mode, prune ? opts.k : 0,
                                          opts.scheme, 0.0, &pass_counters,
-                                         trace, pool, nullptr, &pass_usage);
+                                         trace, pool, &pass_usage);
     result.counters.Add(pass_counters);
     off_thread_cpu_ms += pass_usage.cpu_ms;  // Worker CPU only, see Evaluate.
     pass_usage.cpu_ms += pass_cpu.ElapsedMs();

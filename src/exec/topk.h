@@ -44,8 +44,8 @@ struct TopKOptions {
   /// built-ins always are; custom values come from Register, which
   /// refuses uncertifiable algebras) — the run consults the scheme's
   /// SchemeCertificate for every optimization decision (threshold
-  /// pruning, DPO stopping rule, cache exactness; DESIGN.md §16), and an unregistered value is an InvalidArgument
-  /// error up front.
+  /// pruning, DPO stopping rule; DESIGN.md §16), and an unregistered
+  /// value is an InvalidArgument error up front.
   RankScheme scheme = RankScheme::kStructureFirst;
   Weights weights;
   /// When true, the run assembles a QueryTrace (returned via
@@ -72,24 +72,12 @@ struct TopKOptions {
   bool static_prune = true;
   /// Worker threads for this run. 0 (the default) means hardware
   /// concurrency; 1 runs the fully serial path (no pool is ever
-  /// touched). Parallelism never changes results: DPO evaluates
-  /// relaxation rounds speculatively in waves and a deterministic merge
-  /// replays the serial stopping rules in round order (discarding
-  /// speculative rounds past the stopping point, counters included);
-  /// within one plan, join steps fan out over tuple chunks whose outputs
-  /// and counters merge in chunk order. Answers, penalties, counters and
-  /// trace structure are identical at any thread count (DESIGN.md §10).
+  /// touched). Every algorithm runs its rounds / passes one at a time on
+  /// the calling thread; within one plan, the scan and each join step
+  /// fan out over tuple chunks whose outputs and counters merge in chunk
+  /// order. Answers, penalties, counters and trace structure are
+  /// identical at any thread count (DESIGN.md §10).
   size_t num_threads = 0;
-  /// DPO prefix reuse (DESIGN.md §12): when true, a DPO run keeps a
-  /// run-local cache of its plan steps' outputs, so round i+1 resumes
-  /// from round i's shared plan prefix, and excludes already-answered
-  /// nodes from each round (the paper's "reusing prior results", Section
-  /// 5.1). SSO and Hybrid ignore it. Answers, penalties and relaxation
-  /// metadata are byte-identical either way; only the work counters
-  /// differ (cache_step_hits/misses, tuples_excluded, and the work the
-  /// reused steps skip). Off by default, which keeps every counter-exact
-  /// differential guarantee intact.
-  bool result_cache = false;
   /// Soft per-query CPU budget in thread-CPU milliseconds (coordinator +
   /// pool workers), <= 0 to disable (the default). Checked between DPO
   /// rounds / encoded passes — never inside one — so a run that trips it
@@ -167,8 +155,8 @@ class TopKProcessor {
 
  private:
   // `cert` is the certificate of opts.scheme (validated non-null by Run):
-  // the stopping rules and cache decisions below read their licenses
-  // from it instead of switching on the scheme by name.
+  // the stopping rules below read their licenses from it instead of
+  // switching on the scheme by name.
   Result<TopKResult> RunDpo(const Tpq& q, const TopKOptions& opts,
                             const SchemeCertificate& cert,
                             const PenaltyModel& pm, TraceCollector* trace,

@@ -107,8 +107,6 @@ const char* FlightEventTypeName(FlightEventType type) {
       return "round_start";
     case FlightEventType::kRoundSkip:
       return "round_skip";
-    case FlightEventType::kRoundDiscard:
-      return "round_discard";
     case FlightEventType::kSlowQuery:
       return "slow_query";
     case FlightEventType::kBudgetTrip:

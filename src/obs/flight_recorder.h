@@ -14,7 +14,6 @@ namespace flexpath {
 ///   kQueryEnd     a=shape fingerprint  b=answers          d=latency_ms
 ///   kRoundStart   a=round index        b=0                d=penalty
 ///   kRoundSkip    a=round index (statically pruned)       d=penalty
-///   kRoundDiscard a=round index (speculation past the stopping point)
 ///   kSlowQuery    a=shape fingerprint  b=answers          d=latency_ms
 ///   kBudgetTrip   a=tuples created     b=max_tuples       d=cpu_ms
 enum class FlightEventType : uint8_t {
@@ -22,7 +21,6 @@ enum class FlightEventType : uint8_t {
   kQueryEnd,
   kRoundStart,
   kRoundSkip,
-  kRoundDiscard,
   kSlowQuery,
   kBudgetTrip,
 };

@@ -28,9 +28,6 @@ struct QueryLogRecord {
   std::string scheme;           ///< Ranking scheme name.
   uint64_t k = 0;
   uint64_t threads = 0;         ///< TopKOptions::num_threads as run.
-  /// "off" / "run" (TopKOptions::result_cache). Logs written before the
-  /// shared tier was removed may hold "shared"; replay runs it as "run".
-  std::string cache_tier;
   double latency_ms = 0.0;
   uint64_t answers = 0;
   uint64_t relaxations = 0;

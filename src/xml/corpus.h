@@ -133,14 +133,6 @@ class Corpus {
     return a.doc == d.doc && doc(a.doc).IsParent(a.node, d.node);
   }
 
-  /// Content-state counter for cache invalidation: 0 for an empty corpus,
-  /// and a fresh process-unique value after every Add — so no two
-  /// distinct corpus states, even of different Corpus instances, ever
-  /// share a nonzero generation. Cache entries keyed by generation are
-  /// therefore unreachable the moment the corpus (or any other corpus
-  /// reusing the cache) changes.
-  uint64_t generation() const { return generation_; }
-
  private:
   /// Cold path of doc(): decodes and installs the document under
   /// materialize_mu_, then release-stores the flag the fast path
@@ -152,7 +144,6 @@ class Corpus {
   /// Slots are written at most once after AttachBacking (under
   /// materialize_mu_, published via materialized_[id]); logically const.
   mutable std::vector<Document> docs_;
-  uint64_t generation_ = 0;
 
   std::shared_ptr<const CorpusBacking> backing_;
   mutable std::unique_ptr<std::atomic<bool>[]> materialized_;

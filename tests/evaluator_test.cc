@@ -3,16 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "exec/evaluator.h"
 #include "exec/naive_evaluator.h"
 #include "exec/plan.h"
 #include "exec/topk.h"
 #include "ir/engine.h"
 #include "query/xpath_parser.h"
+#include "relax/penalty.h"
 #include "relax/schedule.h"
 #include "stats/document_stats.h"
 #include "stats/element_index.h"
 #include "tests/test_util.h"
+#include "xmark/generator.h"
 #include "xml/type_hierarchy.h"
 
 namespace flexpath {
@@ -283,9 +286,8 @@ TEST(EvaluatorEdgeTest, LargeKExhaustsSpaceWithoutError) {
 
 // With a type hierarchy, a supertype's scan is a merged list held in the
 // index's LRU cache behind reference-counted ScanHandles. Every handle a
-// run takes — on the calling thread, in chunk workers, in speculative
-// DPO rounds — must be released when the run returns, at any thread
-// count.
+// run takes — on the calling thread or in chunk workers — must be
+// released when the run returns, at any thread count.
 TEST(EvaluatorEdgeTest, SupertypeScanPinsReturnToZeroAfterRuns) {
   Rng rng(7701);
   Corpus corpus;
@@ -328,6 +330,68 @@ TEST(EvaluatorEdgeTest, SupertypeScanPinsReturnToZeroAfterRuns) {
   }
   // The queries did go through merged supertype scans.
   EXPECT_GT(index.GetMergedCacheStats().misses, 0u);
+}
+
+// Evaluate mirrors every plan pass into the process-wide exec.* counters,
+// so over one DPO run the registry deltas must equal the run's own
+// TopKResult::counters: a round evaluated past the stopping point would
+// show in the registry but not in the result. The cases run DPO at 4
+// threads over Q1-Q3 x K on a small XMark document, and include stops
+// at a round r where an engine evaluating rounds ahead in groups of 1,
+// 2, 4, 4, ... (one group per pool-sized batch) would already have run
+// round r+1 with r.
+TEST(EvaluatorEdgeTest, DpoRegistryDeltasEqualResultCountersAtFourThreads) {
+  Corpus corpus;
+  XMarkOptions gopts;
+  gopts.target_bytes = 200000;
+  gopts.seed = 7;
+  Result<Document> doc = GenerateXMark(gopts, corpus.tags());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  corpus.Add(std::move(doc).value());
+  ElementIndex index(&corpus);
+  DocumentStats stats(&corpus);
+  IrEngine ir(&corpus);
+  TopKProcessor processor(&index, &stats, &ir);
+
+  constexpr const char* kQueries[] = {
+      "//item[./description/parlist]",
+      "//item[./description/parlist and ./mailbox/mail/text]",
+      "//item[./description/parlist/listitem and ./mailbox/mail/text[./bold "
+      "and ./keyword and ./emph] and ./name and ./incategory]",
+  };
+  constexpr size_t kKs[] = {1, 5, 10, 20, 50, 100, 200, 400};
+  // First rounds of the groups of 1, 2, 4, 4, ... rounds.
+  const auto starts_group = [](size_t round) {
+    return round <= 1 || (round >= 3 && (round - 3) % 4 == 0);
+  };
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter* passes = reg.counter("exec.plan_passes");
+  Counter* created = reg.counter("exec.tuples_created");
+  size_t stops_inside_group = 0;
+  for (const char* xpath : kQueries) {
+    Result<Tpq> q = ParseXPath(xpath, corpus.tags());
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    const size_t schedule_size =
+        BuildSchedule(*q, PenaltyModel(*q, &stats, &ir, Weights{})).size();
+    for (size_t k : kKs) {
+      TopKOptions opts;
+      opts.k = k;
+      opts.num_threads = 4;
+      const uint64_t passes_before = passes->Value();
+      const uint64_t created_before = created->Value();
+      Result<TopKResult> r = processor.Run(*q, Algorithm::kDpo, opts);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(passes->Value() - passes_before, r->counters.plan_passes)
+          << xpath << " k=" << k;
+      EXPECT_EQ(created->Value() - created_before, r->counters.tuples_created)
+          << xpath << " k=" << k;
+      const size_t stop = r->relaxations_used;
+      if (stop < schedule_size && !starts_group(stop + 1)) {
+        ++stops_inside_group;
+      }
+    }
+  }
+  EXPECT_GT(stops_inside_group, 0u);
 }
 
 }  // namespace

@@ -162,94 +162,6 @@ TEST(ExecCountersTest, AddSumsAllFieldsAndMaxesBucketsPeak) {
   EXPECT_EQ(a.buckets_peak, 7u);
 }
 
-TEST(TraceSpanTest, ShiftByOffsetsSelfAndEveryDescendant) {
-  TraceSpan root;
-  root.start_ms = 1.0;
-  auto child = std::make_unique<TraceSpan>();
-  child->start_ms = 2.0;
-  auto grandchild = std::make_unique<TraceSpan>();
-  grandchild->start_ms = 3.0;
-  child->children.push_back(std::move(grandchild));
-  root.children.push_back(std::move(child));
-
-  root.ShiftBy(10.0);
-  EXPECT_DOUBLE_EQ(root.start_ms, 11.0);
-  EXPECT_DOUBLE_EQ(root.children[0]->start_ms, 12.0);
-  EXPECT_DOUBLE_EQ(root.children[0]->children[0]->start_ms, 13.0);
-
-  // A zero shift is the identity...
-  root.ShiftBy(0.0);
-  EXPECT_DOUBLE_EQ(root.start_ms, 11.0);
-  EXPECT_DOUBLE_EQ(root.children[0]->children[0]->start_ms, 13.0);
-
-  // ...and a negative shift undoes a positive one exactly.
-  root.ShiftBy(-10.0);
-  EXPECT_DOUBLE_EQ(root.start_ms, 1.0);
-  EXPECT_DOUBLE_EQ(root.children[0]->start_ms, 2.0);
-  EXPECT_DOUBLE_EQ(root.children[0]->children[0]->start_ms, 3.0);
-}
-
-TEST(TraceCollectorTest, AdoptGraftsDeeplyNestedTreePreservingAnnotations) {
-  // Worker side: its own collector, a three-deep span tree with both
-  // text and numeric annotations at every level.
-  TraceCollector worker("worker_round");
-  worker.current()->Annotate("worker", uint64_t{4});
-  {
-    Span mid(&worker, "plan_build");
-    mid.Annotate("steps", uint64_t{7});
-    {
-      Span leaf(&worker, "join_step");
-      leaf.Annotate("tag", std::string("section"));
-      leaf.Annotate("tuples", 42.0);
-    }
-  }
-  QueryTrace worker_trace = worker.Finish();
-
-  // Coordinator side: graft under an open child span, shifted onto the
-  // parent timeline.
-  TraceCollector parent("query");
-  {
-    Span wave(&parent, "wave");
-    worker_trace.root.ShiftBy(parent.NowMs());
-    parent.Adopt(std::move(worker_trace.root));
-  }
-  QueryTrace trace = parent.Finish();
-
-  ASSERT_EQ(trace.root.children.size(), 1u);
-  const TraceSpan& wave = *trace.root.children[0];
-  ASSERT_EQ(wave.children.size(), 1u);
-  const TraceSpan& adopted = *wave.children[0];
-  EXPECT_EQ(adopted.name, "worker_round");
-  EXPECT_DOUBLE_EQ(adopted.NumberOr0("worker"), 4.0);
-  ASSERT_EQ(adopted.children.size(), 1u);
-  EXPECT_DOUBLE_EQ(adopted.children[0]->NumberOr0("steps"), 7.0);
-  const TraceSpan* leaf = trace.root.Find("join_step");
-  ASSERT_NE(leaf, nullptr);
-  EXPECT_EQ(leaf->TextOr("tag"), "section");
-  EXPECT_DOUBLE_EQ(leaf->NumberOr0("tuples"), 42.0);
-  // Shifted times stay ordered within the parent timeline.
-  EXPECT_GE(adopted.start_ms, trace.root.start_ms);
-  EXPECT_GE(leaf->start_ms, adopted.start_ms);
-}
-
-TEST(TraceCollectorTest, AdoptIntoRootAfterChildrenKeepsSiblingOrder) {
-  TraceCollector tc("query");
-  {
-    Span first(&tc, "first");
-  }
-  TraceSpan orphan;
-  orphan.name = "adopted";
-  tc.Adopt(std::move(orphan));
-  {
-    Span last(&tc, "last");
-  }
-  QueryTrace trace = tc.Finish();
-  ASSERT_EQ(trace.root.children.size(), 3u);
-  EXPECT_EQ(trace.root.children[0]->name, "first");
-  EXPECT_EQ(trace.root.children[1]->name, "adopted");
-  EXPECT_EQ(trace.root.children[2]->name, "last");
-}
-
 TEST(ChromeJsonTest, EmitsCompleteEventsWithRequiredKeys) {
   TraceCollector tc("query");
   {
@@ -278,31 +190,6 @@ TEST(ChromeJsonTest, EmitsCompleteEventsWithRequiredKeys) {
   // Thread-name metadata labels the coordinator lane.
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"coordinator\""), std::string::npos) << json;
-}
-
-TEST(ChromeJsonTest, WorkerAnnotationMapsSubtreeToWorkerTid) {
-  TraceCollector tc("query");
-  TraceSpan worker_span;
-  worker_span.name = "relaxation_round";
-  worker_span.Annotate("worker", uint64_t{0});
-  auto nested = std::make_unique<TraceSpan>();
-  nested->name = "join_step";
-  worker_span.children.push_back(std::move(nested));
-  tc.Adopt(std::move(worker_span));
-  const std::string json = TraceToChromeJson(tc.Finish());
-  // Worker 0 maps to tid 2 (coordinator owns tid 1); the nested span,
-  // which carries no annotation of its own, inherits the lane.
-  const size_t round = json.find("\"name\":\"relaxation_round\"");
-  const size_t step = json.find("\"name\":\"join_step\"");
-  ASSERT_NE(round, std::string::npos) << json;
-  ASSERT_NE(step, std::string::npos) << json;
-  const auto tid_before = [&](size_t pos) {
-    const size_t tid = json.rfind("\"tid\":", pos);
-    return json.substr(tid, json.find(',', tid) - tid);
-  };
-  EXPECT_EQ(tid_before(round), "\"tid\":2") << json;
-  EXPECT_EQ(tid_before(step), "\"tid\":2") << json;
-  EXPECT_NE(json.find("\"worker 0\""), std::string::npos) << json;
 }
 
 /// End-to-end: a traced DPO run must expose one span per executed
